@@ -1,7 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AlternatingOpt, NodeBaselines, OrderBaselines, Plan}
+import repro.Methods
+import repro.core.{AlternatingOpt, Plan}
 import repro.sim.Simulator
 import repro.workload.{Dataset, Workloads}
 
@@ -11,16 +12,6 @@ import repro.workload.{Dataset, Workloads}
   * driven by calibrated sizes and measured per-node compute times).
   */
 class AblationBench extends AnyFunSuite {
-
-  private val variants: Vector[(String, AlternatingOpt.Solvers)] = Vector(
-    "MKP + MA-DFS"    -> AlternatingOpt.scSolvers,
-    "Greedy + MA-DFS" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.greedy),
-    "Random + MA-DFS" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.random(_, _, _, 7)),
-    "Ratio + MA-DFS"  -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.ratio),
-    "MKP + SA"        -> AlternatingOpt.scSolvers.copy(order = (d, u) =>
-      OrderBaselines.simulatedAnnealing(d, u, d.topological, iterations = 10000)),
-    "MKP + Separator" -> AlternatingOpt.scSolvers.copy(order = OrderBaselines.separator),
-  )
 
   private def simulatedTotal(ds: Dataset, pct: Double,
                              solvers: AlternatingOpt.Solvers): Double =
@@ -37,7 +28,7 @@ class AblationBench extends AnyFunSuite {
       Simulator.simulate(d, Plan(d.topological, Set.empty),
         BenchData.nfs(ds).toCostModel(), BenchData.simInputs(ds, w)).endToEndMs
     }.sum
-    val results = variants.map { case (label, s) => label -> simulatedTotal(ds, pct, s) }
+    val results = Methods.ablations.map { case (label, s) => label -> simulatedTotal(ds, pct, s) }
     val sb = new StringBuilder
     sb ++= f"${ds.name} ($pct%.1f%% Memory Catalog), simulated total refresh time\n"
     sb ++= f"${"No opt"}%-18s${noOpt / 1000}%9.1fs\n"

@@ -3,8 +3,8 @@ package repro.bench
 import java.nio.file.{Files, Path, Paths}
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
-import repro.core.{AlternatingOpt, Dag, NodeBaselines, Plan}
+import repro.{Methods, SparkSpec}
+import repro.core.Dag
 import repro.exec.{Controller, ExecConfig, LruBaseline, NfsModel, RunReport}
 import repro.sim.Simulator
 import repro.workload.{Dataset, Metadata, TpcDsLite, Workload, Workloads}
@@ -22,18 +22,6 @@ object BenchData {
   val fullReadSeconds: Double =
     sys.env.get("REPRO_BENCH_IO_SECONDS").map(_.toDouble).getOrElse(8.0)
 
-  /** Memory-regime mapping (documented in DESIGN.md/EXPERIMENTS.md): real
-    * TPC-DS tables are 23+ columns wide and the paper's queries highly
-    * selective, so the paper's SPJ intermediates are ~0.05–1 % of dataset
-    * bytes and a 0.4–6.4 % Memory Catalog holds many of them. TPC-DS-lite
-    * tables are narrow, so our intermediates are ~8× larger relative to the
-    * dataset; catalog budgets are scaled by the same factor to land in the
-    * paper's catalog:intermediate regime. All tables report the paper-side
-    * percentage labels.
-    */
-  val regimeFactor: Double =
-    sys.env.get("REPRO_BENCH_REGIME_FACTOR").map(_.toDouble).getOrElse(8.0)
-
   lazy val spark: SparkSession = SparkSpec.shared
   lazy val dir: Path = Files.createTempDirectory("sc-bench")
   lazy val resultsDir: Path = {
@@ -47,8 +35,7 @@ object BenchData {
   def nfs(ds: Dataset): NfsModel = NfsModel.scaledTo(ds.totalBytes, fullReadSeconds)
 
   /** Memory Catalog bytes for a paper-side percentage label. */
-  def budget(ds: Dataset, paperPct: Double): Long =
-    (ds.totalBytes * paperPct * regimeFactor / 100.0).toLong
+  def budget(ds: Dataset, paperPct: Double): Long = Methods.budget(ds.totalBytes, paperPct)
 
   private val calCache = mutable.Map.empty[(String, String), Metadata.Calibration]
 
@@ -60,29 +47,8 @@ object BenchData {
     })
   }
 
-  /** Observed cost of creating a node in the Memory Catalog (the extra
-    * Spark action materializing the cache); enters the speedup score as the
-    * paper's `time(create v_i in memory)` term.
-    */
-  val memCreateMs: Double =
-    sys.env.get("REPRO_BENCH_MEM_CREATE_MS").map(_.toDouble).getOrElse(400.0)
-
   def dag(ds: Dataset, w: Workload): Dag =
-    Metadata.dag(w, calibration(ds, w).sizes, nfs(ds), memCreateMs)
-
-  /** Plan for a method under a Memory Catalog of `pct`% of the dataset. */
-  def plan(ds: Dataset, w: Workload, method: String, pct: Double): Plan = {
-    val d = dag(ds, w)
-    val m = budget(ds, pct)
-    method match {
-      case "no-opt" => Plan(d.topological, Set.empty)
-      case "sc"     => AlternatingOpt.solve(d, m).plan
-      case "greedy" => AlternatingOpt.singleShot(d, m, NodeBaselines.greedy)
-      case "random" => AlternatingOpt.singleShot(d, m, NodeBaselines.random(_, _, _, seed = 7))
-      case "ratio"  => AlternatingOpt.singleShot(d, m, NodeBaselines.ratio)
-      case other    => sys.error(s"unknown method $other")
-    }
-  }
+    Metadata.dag(w, calibration(ds, w).sizes, nfs(ds), Methods.MemCreateMs)
 
   private val runCache = mutable.Map.empty[(String, String, String, Double), RunReport]
 
@@ -95,7 +61,8 @@ object BenchData {
         val out = Files.createTempDirectory(dir, s"run-${ds.name}-${w.key}-$method-$pct")
         val cfg = ExecConfig(budget(ds, pct), Some(nfs(ds)), out)
         if (method == "lru") new LruBaseline(spark, ds, cfg).run(w, cal.sizes)
-        else new Controller(spark, ds, cfg).run(w, plan(ds, w, method, pct), cal.sizes, method)
+        else new Controller(spark, ds, cfg)
+          .run(w, Methods.plan(method, dag(ds, w), cfg.memoryCatalogBytes), cal.sizes, method)
       }
     })
   }
@@ -112,7 +79,7 @@ object BenchData {
       computeMs = w.mvs.map(m => cal.report.execMsByName(m.name)).toVector,
       baseReadBytes = w.mvs.map(m =>
         m.baseTables.map(t => ds.effectiveReadBytes(t, m.partitionYears.get(t))).sum).toVector,
-      memCreateMs = memCreateMs,
+      memCreateMs = Methods.MemCreateMs,
     )
   }
 

@@ -1,7 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AlternatingOpt, NodeBaselines, OrderBaselines}
+import repro.Methods
+import repro.core.AlternatingOpt
 import repro.workload.DagGen
 
 /** Fig 13 — optimization wall time of each S/C Opt method pair on generated
@@ -14,16 +15,6 @@ class OptTimeBench extends AnyFunSuite {
   private val dagsPerSize = sys.env.get("REPRO_BENCH_DAGS").map(_.toInt).getOrElse(50)
   private val budget = 16L << 30 // 16 GB catalog against 100 GB-scale tables
 
-  private val methods: Vector[(String, AlternatingOpt.Solvers)] = Vector(
-    "MKP+MA-DFS"    -> AlternatingOpt.scSolvers,
-    "Greedy+MA-DFS" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.greedy),
-    "Random+MA-DFS" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.random(_, _, _, 7)),
-    "Ratio+MA-DFS"  -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.ratio),
-    "MKP+SA"        -> AlternatingOpt.scSolvers.copy(order = (d, u) =>
-      OrderBaselines.simulatedAnnealing(d, u, d.topological, iterations = 10000)),
-    "MKP+Separator" -> AlternatingOpt.scSolvers.copy(order = OrderBaselines.separator),
-  )
-
   test("Fig 13: optimization time vs DAG size for all method pairs") {
     // Warm up JIT so the first measured cell is not inflated.
     (0 until 5).foreach { s =>
@@ -32,7 +23,7 @@ class OptTimeBench extends AnyFunSuite {
     val table = sizes.map { n =>
       val dags = (0 until dagsPerSize).map(s =>
         DagGen.generate(DagGen.Params(n, seed = s)).dag)
-      n -> methods.map { case (label, solvers) =>
+      n -> Methods.ablations.map { case (label, solvers) =>
         val t0 = System.nanoTime()
         dags.foreach(d => AlternatingOpt.solve(d, budget, solvers))
         label -> (System.nanoTime() - t0) / 1e6 / dags.size
@@ -40,7 +31,7 @@ class OptTimeBench extends AnyFunSuite {
     }
     val sb = new StringBuilder
     sb ++= f"Mean optimization time per DAG (ms), $dagsPerSize DAGs per size\n"
-    sb ++= f"${"nodes"}%6s" + methods.map(m => f"${m._1}%15s").mkString + "\n"
+    sb ++= f"${"nodes"}%6s" + Methods.ablations.map(m => f"${m._1}%15s").mkString + "\n"
     table.foreach { case (n, row) =>
       sb ++= f"$n%6d" + row.map { case (_, ms) => f"$ms%14.2f " }.mkString + "\n"
     }

@@ -1,6 +1,7 @@
 package repro.jobs
 
-import repro.core.{AlternatingOpt, NodeBaselines, OrderBaselines}
+import repro.Methods
+import repro.core.AlternatingOpt
 import repro.workload.DagGen
 
 /** spark-submit entrypoint for the Fig 13 experiment: optimization wall time
@@ -13,20 +14,10 @@ object OptTime {
     val perSize = args.lift(0).map(_.toInt).getOrElse(50)
     val budget = 16L << 30 // 16 GB catalog vs 100 GB-scale synthetic tables
 
-    val methods: Seq[(String, AlternatingOpt.Solvers)] = Seq(
-      "mkp+madfs"    -> AlternatingOpt.scSolvers,
-      "greedy+madfs" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.greedy),
-      "random+madfs" -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.random(_, _, _, 7)),
-      "ratio+madfs"  -> AlternatingOpt.scSolvers.copy(nodes = NodeBaselines.ratio),
-      "mkp+sa"       -> AlternatingOpt.scSolvers.copy(
-        order = (d, u) => OrderBaselines.simulatedAnnealing(d, u, d.topological)),
-      "mkp+separator" -> AlternatingOpt.scSolvers.copy(order = OrderBaselines.separator),
-    )
-
-    println(f"${"nodes"}%6s " + methods.map(m => f"${m._1}%14s").mkString(" "))
+    println(f"${"nodes"}%6s " + Methods.ablations.map(m => f"${m._1}%14s").mkString(" "))
     Seq(25, 50, 75, 100).foreach { n =>
       val dags = (0 until perSize).map(s => DagGen.generate(DagGen.Params(n, seed = s)).dag)
-      val times = methods.map { case (_, solvers) =>
+      val times = Methods.ablations.map { case (_, solvers) =>
         val t0 = System.nanoTime()
         dags.foreach(d => AlternatingOpt.solve(d, budget, solvers))
         (System.nanoTime() - t0) / 1e6 / dags.size

@@ -2,7 +2,7 @@ package repro.jobs
 
 import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
-import repro.core.{AlternatingOpt, NodeBaselines, Plan}
+import repro.Methods
 import repro.exec.{Controller, ExecConfig, LruBaseline, NfsModel}
 import repro.workload.{Metadata, TpcDsLite, Workloads}
 
@@ -10,7 +10,8 @@ import repro.workload.{Metadata, TpcDsLite, Workloads}
   * end-to-end report.
   *
   * Usage: RunWorkload [workloadKey=io1] [method=sc] [sf=0.02] [memPct=1.6] [partitioned=false]
-  * Methods: no-opt | greedy | random | ratio | lru | sc
+  * Methods: no-opt | greedy | random | ratio | lru | sc. `memPct` is the
+  * paper-side Memory Catalog label (see `Methods.budget`).
   */
 object RunWorkload {
   def main(args: Array[String]): Unit = {
@@ -28,28 +29,16 @@ object RunWorkload {
     val dir = Files.createTempDirectory("screpro")
     val dataset = TpcDsLite.generate(spark, dir.resolve("data"), sf, part)
     val nfs = NfsModel.scaledTo(dataset.totalBytes)
-    val budget = (dataset.totalBytes * memPct / 100.0).toLong
+    val budget = Methods.budget(dataset.totalBytes, memPct)
     val cfg = ExecConfig(budget, Some(nfs), dir.resolve("mv"))
     val controller = new Controller(spark, dataset, cfg)
 
     val cal = Metadata.calibrate(spark, dataset, workload, cfg.copy(outDir = dir.resolve("cal")))
-    val dag = Metadata.dag(workload, cal.sizes, nfs)
+    val dag = Metadata.dag(workload, cal.sizes, nfs, Methods.MemCreateMs)
 
-    val report = method match {
-      case "no-opt" => controller.runBaseline(workload, cal.sizes)
-      case "lru"    => new LruBaseline(spark, dataset, cfg).run(workload, cal.sizes)
-      case "sc"     =>
-        val r = AlternatingOpt.solve(dag, budget)
-        controller.run(workload, r.plan, cal.sizes, "sc")
-      case m =>
-        val nodes: (repro.core.Dag, Long, Vector[Int]) => Set[Int] = m match {
-          case "greedy" => NodeBaselines.greedy
-          case "random" => NodeBaselines.random(_, _, _, seed = 7)
-          case "ratio"  => NodeBaselines.ratio
-          case other    => sys.error(s"unknown method $other")
-        }
-        controller.run(workload, AlternatingOpt.singleShot(dag, budget, nodes), cal.sizes, m)
-    }
+    val report =
+      if (method == "lru") new LruBaseline(spark, dataset, cfg).run(workload, cal.sizes)
+      else controller.run(workload, Methods.plan(method, dag, budget), cal.sizes, method)
     println(f"workload=${report.workload} dataset=${report.dataset} method=${report.method} " +
       f"endToEnd=${report.endToEndMs / 1000}%.2fs read=${report.tableReadMs / 1000}%.2fs " +
       f"compute=${report.computeMs / 1000}%.2fs writeFg=${report.writeForegroundMs / 1000}%.2fs " +

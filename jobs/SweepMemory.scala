@@ -2,13 +2,13 @@ package repro.jobs
 
 import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
-import repro.core.AlternatingOpt
+import repro.Methods
 import repro.exec.{Controller, ExecConfig, NfsModel}
 import repro.workload.{Metadata, TpcDsLite, Workloads}
 
 /** spark-submit entrypoint for the Table IV experiment: sweep the Memory
-  * Catalog size over 0–6.4 % of the dataset and report TableRead / Compute /
-  * Query latency totals over all five workloads.
+  * Catalog size over the paper's 0–6.4 % labels and report TableRead /
+  * Compute / Query latency totals over all five workloads.
   *
   * Usage: SweepMemory [sf=0.02] [partitioned=false]
   */
@@ -28,14 +28,14 @@ object SweepMemory {
 
     println(f"${"M%"}%8s ${"read(s)"}%10s ${"compute(s)"}%12s ${"query(s)"}%10s")
     Seq(0.0, 0.4, 0.8, 1.6, 3.2, 6.4).foreach { pct =>
-      val budget = (dataset.totalBytes * pct / 100.0).toLong
+      val budget = Methods.budget(dataset.totalBytes, pct)
       val cfg = ExecConfig(budget, Some(nfs), dir.resolve(s"mv$pct"))
       val controller = new Controller(spark, dataset, cfg)
       val reports = cals.map { case (w, cal) =>
         if (pct == 0.0) controller.runBaseline(w, cal.sizes)
         else {
-          val dag = Metadata.dag(w, cal.sizes, nfs)
-          controller.run(w, AlternatingOpt.solve(dag, budget).plan, cal.sizes)
+          val dag = Metadata.dag(w, cal.sizes, nfs, Methods.MemCreateMs)
+          controller.run(w, Methods.plan("sc", dag, budget), cal.sizes)
         }
       }
       val read = reports.map(_.tableReadMs).sum / 1000

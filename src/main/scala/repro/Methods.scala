@@ -1,0 +1,55 @@
+package repro
+
+import repro.core.{AlternatingOpt, Dag, NodeBaselines, OrderBaselines, Plan}
+
+/** The one mapping from a method name to a plan, shared by the `jobs/`
+  * entrypoints and the bench suites, plus the settings that decide how a
+  * paper-side label becomes optimizer input.
+  */
+object Methods {
+
+  /** Observed cost (ms) of creating a node in the Memory Catalog: the extra
+    * Spark action that materializes the cached DataFrame. It enters the
+    * speedup score as the paper's `time(create v_i in memory)` term.
+    */
+  val MemCreateMs: Double = 400.0
+
+  /** Memory-regime factor (DESIGN.md § 2): TPC-DS-lite tables are narrow, so
+    * its intermediates are ~8× larger relative to the dataset than the
+    * paper's; catalog budgets are scaled by the same factor to land in the
+    * paper's catalog:intermediate regime.
+    */
+  private val RegimeFactor = 8.0
+
+  /** Memory Catalog bytes for a paper-side percentage label. */
+  def budget(datasetBytes: Long, paperPct: Double): Long =
+    (datasetBytes * paperPct * RegimeFactor / 100.0).toLong
+
+  /** The plan of `name` ∈ no-opt | sc | greedy | random | ratio. The
+    * baselines keep the initial topological order, as in the paper. LRU has
+    * no plan; callers run it on its own executor.
+    */
+  def plan(name: String, dag: Dag, budget: Long): Plan = name match {
+    case "no-opt" => Plan(dag.topological, Set.empty)
+    case "sc"     => AlternatingOpt.solve(dag, budget).plan
+    case "greedy" => AlternatingOpt.singleShot(dag, budget, NodeBaselines.greedy)
+    case "random" => AlternatingOpt.singleShot(dag, budget, NodeBaselines.random(_, _, _, seed = 7))
+    case "ratio"  => AlternatingOpt.singleShot(dag, budget, NodeBaselines.ratio)
+    case other    => throw new IllegalArgumentException(s"unknown method $other")
+  }
+
+  /** The § VI-F ablation pairs (Figs 12 and 13): S/C's own solvers first,
+    * then MKP and MA-DFS each swapped for an alternative.
+    */
+  val ablations: Vector[(String, AlternatingOpt.Solvers)] = {
+    val sc = AlternatingOpt.scSolvers
+    Vector(
+      "MKP+MA-DFS"    -> sc,
+      "Greedy+MA-DFS" -> sc.copy(nodes = NodeBaselines.greedy),
+      "Random+MA-DFS" -> sc.copy(nodes = NodeBaselines.random(_, _, _, 7)),
+      "Ratio+MA-DFS"  -> sc.copy(nodes = NodeBaselines.ratio),
+      "MKP+SA"        -> sc.copy(order = (d, u) => OrderBaselines.simulatedAnnealing(d, u, d.topological)),
+      "MKP+Separator" -> sc.copy(order = OrderBaselines.separator),
+    )
+  }
+}

@@ -40,8 +40,7 @@ object AlternatingOpt {
       } else {
         flagged = flaggedNew
         val orderNew = solvers.order(dag, flagged)
-        if (!dag.isTopological(orderNew) ||
-            Plan.peakMemoryUsage(dag, Plan(orderNew, flagged)) > memoryBudget) {
+        if (!Plan.isFeasible(dag, Plan(orderNew, flagged), memoryBudget)) {
           stop = true // line 8: new order infeasible — keep previous τ
         } else {
           order = orderNew

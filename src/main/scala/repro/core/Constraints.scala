@@ -17,19 +17,14 @@ object Constraints {
     (0 until dag.n).filter(i => dag.size(i) > memoryBudget || dag.speedup(i) == 0.0).toSet
 
   /** All alive-sets under `order`, one per execution position, with
-    * excluded nodes removed. Position k's set uses the release semantics
-    * of [[Plan.releaseRank]] applied to every candidate node.
+    * excluded nodes removed: position k's set holds every candidate whose
+    * [[Plan.residency]] span covers k.
     */
   def aliveSets(dag: Dag, order: Vector[Int], exclude: Set[Int]): Vector[Set[Int]] = {
-    val pos = order.zipWithIndex.toMap
-    def release(j: Int): Int = {
-      val kids = dag.children(j)
-      if (kids.isEmpty) pos(j) else kids.map(pos).max
-    }
-    val rel = (0 until dag.n).map(release)
-    (0 until dag.n).map { k =>
-      (0 until dag.n).filter(j => !exclude(j) && pos(j) <= k && k <= rel(j)).toSet
-    }.toVector
+    val r = Plan.residency(dag, order)
+    val sets = Vector.fill(dag.n)(Set.newBuilder[Int])
+    (0 until dag.n).filterNot(exclude).foreach(j => r.span(j).foreach(k => sets(k) += j))
+    sets.map(_.result())
   }
 
   /** Relevant constraint sets: distinct, maximal (not a strict subset of

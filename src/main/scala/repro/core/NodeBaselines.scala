@@ -12,12 +12,15 @@ object NodeBaselines {
 
   private def selectBy(dag: Dag, memoryBudget: Long, order: Vector[Int],
                        visit: Seq[Int]): Set[Int] = {
+    val r = Plan.residency(dag, order)
+    val usage = new Array[Long](dag.n) // bytes held at each position so far
     var flagged = Set.empty[Int]
     visit.foreach { i =>
-      if (dag.size(i) <= memoryBudget && dag.speedup(i) > 0) {
-        val cand = flagged + i
-        if (Plan.peakMemoryUsage(dag, Plan(order, cand)) <= memoryBudget)
-          flagged = cand
+      val s = dag.size(i)
+      if (s <= memoryBudget && dag.speedup(i) > 0 &&
+          r.span(i).forall(k => usage(k) + s <= memoryBudget)) {
+        r.span(i).foreach(k => usage(k) += s)
+        flagged += i
       }
     }
     flagged

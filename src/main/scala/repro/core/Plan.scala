@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** A refresh plan: an execution order τ plus the flagged set U (§ IV).
   *
   * @param order   execution order as a sequence of node ids; order(k) is the
@@ -20,36 +22,51 @@ final case class Plan(order: Vector[Int], flagged: Set[Int]) {
   *
   * A flagged node occupies the Memory Catalog from the moment it executes
   * until its last child (by execution order) has executed; a childless
-  * flagged node occupies memory only during its own execution.
+  * flagged node occupies memory only during its own execution. That rule
+  * is stated once, in [[Plan.residency]]; peak and average memory, the
+  * alive-set constraints, the baselines' feasibility test and the
+  * Controller's release schedule all derive from its intervals.
   */
 object Plan {
 
-  /** releaseRank(j): last execution position at which flagged j is still held.
-    * Equals max over children of τ(child), or τ(j) itself when childless.
+  /** Residency intervals under one execution order: node i, if flagged, is
+    * held at every position in `span(i)` = [start(i), end(i)].
     */
-  def releaseRank(dag: Dag, plan: Plan, j: Int): Int = {
-    val r = plan.rank
-    val kids = dag.children(j)
-    if (kids.isEmpty) r(j) else kids.map(r).max
+  final case class Residency(start: IndexedSeq[Int], end: IndexedSeq[Int]) {
+    def span(i: Int): Range = start(i) to end(i)
   }
 
-  /** Flagged nodes resident in memory while the node at position k executes. */
-  def residentAt(dag: Dag, plan: Plan, k: Int): Set[Int] = {
-    plan.flagged.filter { j =>
-      val rj = plan.rank(j)
-      rj <= k && k <= releaseRank(dag, plan, j)
+  /** The residency interval of every node, in O(n + E): `start` is the
+    * node's position in `order`, `end` its last child's position, or its
+    * own position when childless.
+    */
+  def residency(dag: Dag, order: Vector[Int]): Residency = {
+    val start = Array.fill(dag.n)(-1)
+    order.zipWithIndex.foreach { case (v, k) => start(v) = k }
+    require(order.size == dag.n && !start.contains(-1), "order must be a permutation of the nodes")
+    val end = Array.tabulate(dag.n) { j =>
+      val kids = dag.children(j)
+      if (kids.isEmpty) start(j) else kids.map(start).max
     }
+    Residency(ArraySeq.unsafeWrapArray(start), ArraySeq.unsafeWrapArray(end))
   }
 
   /** Memory (bytes) in use at each execution position; length n. */
-  def usageTimeline(dag: Dag, plan: Plan): Vector[Long] =
-    (0 until dag.n).map(k => residentAt(dag, plan, k).toSeq.map(dag.size).sum).toVector
+  def usageTimeline(dag: Dag, plan: Plan): Vector[Long] = {
+    val r = residency(dag, plan.order)
+    val diff = new Array[Long](dag.n + 1)
+    plan.flagged.foreach { i =>
+      if (r.start(i) <= r.end(i)) {
+        diff(r.start(i)) += dag.size(i)
+        diff(r.end(i) + 1) -= dag.size(i)
+      }
+    }
+    diff.take(dag.n).scanLeft(0L)(_ + _).tail.toVector
+  }
 
   /** Peak Memory-Catalog usage of the plan (the S/C Opt constraint). */
-  def peakMemoryUsage(dag: Dag, plan: Plan): Long = {
-    val tl = usageTimeline(dag, plan)
-    if (tl.isEmpty) 0L else tl.max
-  }
+  def peakMemoryUsage(dag: Dag, plan: Plan): Long =
+    usageTimeline(dag, plan).maxOption.getOrElse(0L)
 
   /** Average memory usage — the objective of Problem 3 (S/C Opt Order):
     * (1/n) Σ_{v_i ∈ U} (max_{(v_i,v_j)∈E} τ(j) − τ(i)) · s_i,
@@ -57,9 +74,8 @@ object Plan {
     */
   def averageMemoryUsage(dag: Dag, plan: Plan): Double = {
     if (dag.n == 0) return 0.0
-    plan.flagged.toSeq.map { i =>
-      (releaseRank(dag, plan, i) - plan.rank(i)).toDouble * dag.size(i)
-    }.sum / dag.n
+    val r = residency(dag, plan.order)
+    plan.flagged.toSeq.map(i => (r.end(i) - r.start(i)).toDouble * dag.size(i)).sum / dag.n
   }
 
   /** True iff the plan's order is topological and peak memory ≤ budget. */

@@ -93,15 +93,18 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
     val bgWrites = mutable.Map.empty[String, Future[Double]]
     val released = mutable.Buffer.empty[org.apache.spark.sql.DataFrame]
-    val sdag = workload.structuralDag
-    val childrenLeft = mutable.Map.empty[Int, Int] ++
-      workload.mvs.indices.map(i => i -> sdag.children(i).size)
+    // A flagged node leaves the catalog right after the position where its
+    // residency ends (§ III-C): its last child, or itself when childless.
+    val releaseAfter = {
+      val r = Plan.residency(workload.structuralDag, plan.order)
+      plan.flagged.toSeq.groupBy(r.end)
+    }
     val nodeReports = Vector.newBuilder[NodeReport]
     var readTotal, computeTotal, writeFgTotal = 0.0
 
     val t0 = System.nanoTime()
     try {
-      plan.order.foreach { idx =>
+      plan.order.zipWithIndex.foreach { case (idx, k) =>
         val mv = workload.mvs(idx)
         // Bind parent views: Memory Catalog hit → cached DataFrame, no
         // storage read; miss → Parquet read with modeled NFS delay.
@@ -149,20 +152,12 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
           nodeReports += NodeReport(mv.name, flagged = false, outBytes, baseRead, parentRead, execMs, writeDelay)
         }
 
-        // Release flagged nodes whose last dependent just executed — the
-        // node itself when childless (§ III-C: freed as soon as every node
-        // depending on it completes; nothing depends on a sink). The
-        // physical unpersist waits for the background materialization.
-        def releaseFromCatalog(name: String): Unit = {
+        // The physical unpersist waits for the background materialization.
+        releaseAfter.getOrElse(k, Nil).foreach { j =>
+          val name = workload.mvs(j).name
           val df = catalog.release(name)
           released += df // unpersist is idempotent; finally-block backstop
           bgWrites(name).onComplete(_ => df.unpersist(false))
-        }
-        if (flagged && sdag.children(idx).isEmpty) releaseFromCatalog(mv.name)
-        mv.parents.foreach { p =>
-          val pi = workload.index(p)
-          childrenLeft(pi) -= 1
-          if (childrenLeft(pi) == 0 && catalog.contains(p)) releaseFromCatalog(p)
         }
       }
 

@@ -56,20 +56,24 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
         if (readDelay >= 1.0) Thread.sleep(readDelay.toLong)
         readTotal += readDelay
 
+        val bytes = sizes(mv.name)
+        val cacheable = bytes <= cfg.memoryCatalogBytes && sdag.children(idx).nonEmpty
         val tExec0 = System.nanoTime()
         val df = spark.sql(mv.sqlFor(dataset.partitioned))
+        // Persisted before the write, so the one execution of the statement
+        // both writes the MV and fills the cache. Eviction waits until it
+        // has run: evicting first could drop a cached parent it reads and
+        // make Spark recompute that parent.
+        if (cacheable) df.persist(StorageLevel.MEMORY_ONLY)
         df.write.mode("overwrite").parquet(cfg.outDir.resolve(mv.name).toString)
         val execMs = (System.nanoTime() - tExec0) / 1e6
         computeTotal += execMs
-        val bytes = sizes(mv.name)
         val writeDelay = cfg.nfs.fold(0.0)(_.writeMs(bytes))
         if (writeDelay >= 1.0) Thread.sleep(writeDelay.toLong)
         writeFgTotal += writeDelay
 
-        if (bytes <= cfg.memoryCatalogBytes && sdag.children(idx).nonEmpty) {
+        if (cacheable) {
           evictUntilFits(bytes)
-          df.persist(StorageLevel.MEMORY_ONLY)
-          df.count()
           cache(mv.name) = (df, bytes)
           cachedBytes += bytes
           peak = math.max(peak, cachedBytes)

@@ -18,9 +18,11 @@ final case class NfsModel(readBytesPerMs: Double, writeBytesPerMs: Double, laten
   def readMs(bytes: Long): Double  = if (bytes <= 0) 0.0 else latencyMs + bytes / readBytesPerMs
   def writeMs(bytes: Long): Double = if (bytes <= 0) 0.0 else latencyMs + bytes / writeBytesPerMs
 
-  /** Cost model for the timeline simulator with these storage parameters. */
-  def toCostModel(memBytesPerMs: Double = 512.0 * 1024 * 1024): CostModel =
-    CostModel(readBytesPerMs, writeBytesPerMs, memBytesPerMs, latencyMs)
+  /** Cost model for the timeline simulator with these storage parameters
+    * and a 512 MB/ms memory bandwidth.
+    */
+  def toCostModel(): CostModel =
+    CostModel(readBytesPerMs, writeBytesPerMs, 512.0 * 1024 * 1024, latencyMs)
 }
 
 object NfsModel {

@@ -20,10 +20,17 @@ class ConstraintsSpec extends AnyFunSuite {
   }
 
   test("alive sets match residentAt semantics for full candidate set") {
-    val sets = Constraints.aliveSets(dag, idOrder, Set.empty)
-    (0 until dag.n).foreach { k =>
-      val expected = Plan.residentAt(dag, Plan(idOrder, (0 until dag.n).toSet), k)
-      assert(sets(k) == expected, s"position $k")
+    // Resident at k: executed at or before k, last child at or after k.
+    (dag +: (0 until 10).map(BruteForce.randomDag(8, _))).foreach { d =>
+      val order = d.topological
+      val pos = order.zipWithIndex.toMap
+      val sets = Constraints.aliveSets(d, order, Set.empty)
+      (0 until d.n).foreach { k =>
+        val expected = (0 until d.n).filter { j =>
+          pos(j) <= k && k <= (d.children(j).map(pos) :+ pos(j)).max
+        }.toSet
+        assert(sets(k) == expected, s"position $k")
+      }
     }
   }
 

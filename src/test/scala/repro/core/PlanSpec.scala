@@ -15,22 +15,28 @@ class PlanSpec extends AnyFunSuite {
     assert(p.rank == Map(2 -> 0, 0 -> 1, 1 -> 2))
   }
 
+  // A node's release rank is the end of its residency interval; it is
+  // resident at position k when its span covers k.
   test("releaseRank is the last child's position") {
-    val p = Plan(idOrder, Set(0))
-    assert(Plan.releaseRank(dag, p, 0) == 3) // children at positions 1 and 3
+    assert(Plan.residency(dag, idOrder).end(0) == 3) // children at positions 1 and 3
   }
 
   test("releaseRank of a childless node is its own position") {
-    val p = Plan(idOrder, Set(5))
-    assert(Plan.releaseRank(dag, p, 5) == 5)
+    assert(Plan.residency(dag, idOrder).span(5) == (5 to 5))
   }
 
   test("residentAt honors flagged lifetime") {
-    val p = Plan(idOrder, Set(0, 2))
-    assert(Plan.residentAt(dag, p, 0) == Set(0))
-    assert(Plan.residentAt(dag, p, 2) == Set(0, 2)) // both alive at position 2
-    assert(Plan.residentAt(dag, p, 4) == Set(2))    // 0 released after position 3
-    assert(Plan.residentAt(dag, p, 5) == Set.empty[Int])
+    val r = Plan.residency(dag, idOrder)
+    def heldAt(k: Int): Set[Int] = Set(0, 2).filter(r.span(_).contains(k))
+    assert(heldAt(0) == Set(0))
+    assert(heldAt(2) == Set(0, 2)) // both alive at position 2
+    assert(heldAt(4) == Set(2))    // 0 released after position 3
+    assert(heldAt(5) == Set.empty[Int])
+  }
+
+  test("residency requires a permutation of the nodes") {
+    assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 1, 2)))
+    assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 0, 2, 3, 4, 5)))
   }
 
   test("usageTimeline and peak") {

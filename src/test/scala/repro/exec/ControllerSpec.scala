@@ -73,6 +73,7 @@ class ControllerSpec extends SparkSpec {
     val report = new Controller(spark, ds, ExecConfig(budget, None, out))
       .run(w, r.plan, sizes)
     assert(report.peakCatalogBytes <= budget)
+    assert(report.peakCatalogBytes == Plan.peakMemoryUsage(dag, r.plan))
     assert(r.plan.flagged.nonEmpty)
   }
 

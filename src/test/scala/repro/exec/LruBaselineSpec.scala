@@ -1,5 +1,8 @@
 package repro.exec
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.workload.{TestData, Workloads}
 
@@ -50,6 +53,28 @@ class LruBaselineSpec extends SparkSpec {
     assert(cached.tableReadMs < zero.tableReadMs)
     // Writes stay on the critical path for LRU — identical totals.
     assert(math.abs(cached.writeForegroundMs - zero.writeForegroundMs) < 1.0)
+  }
+
+  test("runs each cacheable statement once: no count action beside the writes") {
+    val actions = new ConcurrentLinkedQueue[String]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = actions.add(funcName)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = actions.add(funcName)
+    }
+    val calibrated = sizes
+    spark.listenerManager.register(listener)
+    val r = try {
+      val out = TestData.freshOutDir("lru-once")
+      val report = new LruBaseline(spark, ds, ExecConfig(ds.totalBytes, None, out)).run(w, calibrated)
+      // Listener events arrive in order; a sentinel action marks the end.
+      spark.range(1).collect()
+      val deadline = System.nanoTime() + 30_000_000_000L
+      while (!actions.contains("collect") && System.nanoTime() < deadline) Thread.sleep(50)
+      report
+    } finally spark.listenerManager.unregister(listener)
+    assert(actions.contains("collect"), "listener saw no events")
+    assert(r.peakCatalogBytes > 0, "nothing was cached")
+    assert(!actions.contains("count"), s"actions: $actions")
   }
 
   private implicit class RichReport(r: RunReport) {

@@ -1,6 +1,7 @@
 package repro.workload
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 
 /** Result-correctness of every MV statement in all five workloads against
@@ -44,6 +45,15 @@ class WorkloadOracleSpec extends SparkSpec {
         mv.parents.map(p => p -> rs(p)) ++ mv.baseTables.map(t => t -> baseDfs(t))
       Oracle.assertEquivalent(rs(mv.name), mv.sql, inputs: _*)
     }
+  }
+
+  test("oracle rejects a wrong aggregate of a TPC-DS-lite MV") {
+    val mv = Workloads.io1.byName("io1_store_cat_profit")
+    val rs = resultsFor(Workloads.io1)
+    val wrong = rs(mv.name).withColumn("cnt", col("cnt") + 1)
+    assert(!wrong.isEmpty)
+    assertThrows[IllegalArgumentException](
+      Oracle.assertEquivalent(wrong, mv.sql, mv.parents.map(p => p -> rs(p)): _*))
   }
 
   // Partitioned-variant extracts: the same oracle check with the
