@@ -18,15 +18,14 @@ class AblationBench extends AnyFunSuite {
     Workloads.all.map { w =>
       val d = BenchData.dag(ds, w)
       val plan = AlternatingOpt.solve(d, BenchData.budget(ds, pct), solvers).plan
-      Simulator.simulate(d, plan, BenchData.nfs(ds).toCostModel(),
-        BenchData.simInputs(ds, w)).endToEndMs
+      Simulator.simulate(d, plan, BenchData.nfs(ds), BenchData.simInputs(ds, w)).endToEndMs
     }.sum
 
   private def runCase(name: String, ds: Dataset, pct: Double): Unit = {
     val noOpt = Workloads.all.map { w =>
       val d = BenchData.dag(ds, w)
-      Simulator.simulate(d, Plan(d.topological, Set.empty),
-        BenchData.nfs(ds).toCostModel(), BenchData.simInputs(ds, w)).endToEndMs
+      Simulator.simulate(d, Plan(d.topological, Set.empty), BenchData.nfs(ds),
+        BenchData.simInputs(ds, w)).endToEndMs
     }.sum
     val results = Methods.ablations.map { case (label, s) => label -> simulatedTotal(ds, pct, s) }
     val sb = new StringBuilder

@@ -14,13 +14,11 @@ import repro.workload.{Dataset, Metadata, TpcDsLite, Workload, Workloads}
   * baseline measurements), and memoized method runs so Table IV, Table V
   * and the Fig 9 comparison reuse the same executions.
   *
-  * Knobs (env): REPRO_BENCH_SF (default 0.01), REPRO_BENCH_IO_SECONDS
-  * (full-dataset scan cost of the modeled NFS, default 8 s).
+  * Knob (env): REPRO_BENCH_SF (default 0.01). The modeled NFS scans the
+  * whole dataset in `NfsModel.scaledTo`'s default 8 s.
   */
 object BenchData {
   val sf: Double = sys.env.get("REPRO_BENCH_SF").map(_.toDouble).getOrElse(0.01)
-  val fullReadSeconds: Double =
-    sys.env.get("REPRO_BENCH_IO_SECONDS").map(_.toDouble).getOrElse(8.0)
 
   lazy val spark: SparkSession = SparkSpec.shared
   lazy val dir: Path = Files.createTempDirectory("sc-bench")
@@ -32,7 +30,7 @@ object BenchData {
   lazy val regular: Dataset = TpcDsLite.generate(spark, dir.resolve("reg"), sf, partitioned = false)
   lazy val partitioned: Dataset = TpcDsLite.generate(spark, dir.resolve("part"), sf, partitioned = true)
 
-  def nfs(ds: Dataset): NfsModel = NfsModel.scaledTo(ds.totalBytes, fullReadSeconds)
+  def nfs(ds: Dataset): NfsModel = NfsModel.scaledTo(ds.totalBytes)
 
   /** Memory Catalog bytes for a paper-side percentage label. */
   def budget(ds: Dataset, paperPct: Double): Long = Methods.budget(ds.totalBytes, paperPct)
@@ -77,8 +75,7 @@ object BenchData {
     Simulator.Inputs(
       sizes = w.mvs.map(m => cal.sizes(m.name)).toVector,
       computeMs = w.mvs.map(m => cal.report.execMsByName(m.name)).toVector,
-      baseReadBytes = w.mvs.map(m =>
-        m.baseTables.map(t => ds.effectiveReadBytes(t, m.partitionYears.get(t))).sum).toVector,
+      baseReadBytes = w.mvs.map(ds.baseReadBytes(_).sum),
       memCreateMs = Methods.MemCreateMs,
     )
   }

@@ -7,7 +7,7 @@ import scala.concurrent.duration.Duration
 import scala.concurrent.{Await, ExecutionContext, Future}
 import org.apache.spark.sql.SparkSession
 import repro.core.Plan
-import repro.workload.{Dataset, MvSpec, TpcDsLite, Workload}
+import repro.workload.{Dataset, TpcDsLite, Workload}
 
 /** Execution configuration for one refresh run.
   *
@@ -53,6 +53,8 @@ final case class RunReport(workload: String, dataset: String, method: String,
   */
 final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
+  private val nfs = cfg.nfs.getOrElse(NfsModel.free)
+
   private def mvPath(name: String): Path = cfg.outDir.resolve(name)
 
   private def dirBytes(p: Path): Long = {
@@ -66,12 +68,6 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
   private def delay(ms: Double): Unit =
     if (ms >= 1.0) Thread.sleep(ms.toLong)
-
-  private def baseReadMs(mv: MvSpec): Double = cfg.nfs.fold(0.0) { m =>
-    mv.baseTables.map { t =>
-      m.readMs(dataset.effectiveReadBytes(t, mv.partitionYears.get(t)))
-    }.sum
-  }
 
   /** Run `workload` under `plan`. `sizes` are the calibrated output sizes
     * (empty on the calibration run itself, where nothing is flagged and
@@ -108,14 +104,14 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         val mv = workload.mvs(idx)
         // Bind parent views: Memory Catalog hit → cached DataFrame, no
         // storage read; miss → Parquet read with modeled NFS delay.
-        val baseRead = baseReadMs(mv)
+        val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
         var parentRead = 0.0
         mv.parents.foreach { p =>
           if (catalog.contains(p)) {
             catalog.dataFrame(p).createOrReplaceTempView(p)
           } else {
             spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
-            parentRead += cfg.nfs.fold(0.0)(_.readMs(sizes.getOrElse(p, dirBytes(mvPath(p)))))
+            parentRead += nfs.readMs(sizes.getOrElse(p, dirBytes(mvPath(p))))
           }
         }
         val readDelay = baseRead + parentRead
@@ -136,7 +132,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
           // Materialize to storage in parallel with downstream execution.
           bgWrites(mv.name) = Future {
             df.write.mode("overwrite").parquet(mvPath(mv.name).toString)
-            val w = cfg.nfs.fold(0.0)(_.writeMs(sizes(mv.name)))
+            val w = nfs.writeMs(sizes(mv.name))
             delay(w)
             w
           }
@@ -146,7 +142,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
           val execMs = (System.nanoTime() - tExec0) / 1e6
           computeTotal += execMs
           outBytes = sizes.getOrElse(mv.name, dirBytes(mvPath(mv.name)))
-          writeDelay = cfg.nfs.fold(0.0)(_.writeMs(outBytes))
+          writeDelay = nfs.writeMs(outBytes)
           delay(writeDelay)
           writeFgTotal += writeDelay
           nodeReports += NodeReport(mv.name, flagged = false, outBytes, baseRead, parentRead, execMs, writeDelay)
@@ -167,6 +163,8 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       RunReport(workload.key, dataset.name, method, endToEnd, readTotal, computeTotal,
         writeFgTotal, bgDelays.sum, catalog.peakBytes, nodeReports.result())
     } finally {
+      // On failure too, no background write may outlive the run.
+      bgWrites.values.foreach(Await.ready(_, Duration.Inf))
       released.foreach(_.unpersist(false))
       catalog.clear()
       writePool.shutdown()

@@ -14,6 +14,8 @@ import repro.workload.{Dataset, TpcDsLite, Workload}
   */
 final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
+  private val nfs = cfg.nfs.getOrElse(NfsModel.free)
+
   def run(workload: Workload, sizes: Map[String, Long]): RunReport = {
     Files.createDirectories(cfg.outDir)
     TpcDsLite.registerViews(spark, dataset)
@@ -38,9 +40,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
     try {
       order.foreach { idx =>
         val mv = workload.mvs(idx)
-        val baseRead = cfg.nfs.fold(0.0) { m =>
-          mv.baseTables.map(t => m.readMs(dataset.effectiveReadBytes(t, mv.partitionYears.get(t)))).sum
-        }
+        val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
         var parentRead = 0.0
         mv.parents.foreach { p =>
           cache.remove(p) match {
@@ -49,7 +49,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
               entry._1.createOrReplaceTempView(p)
             case None =>
               spark.read.parquet(cfg.outDir.resolve(p).toString).createOrReplaceTempView(p)
-              parentRead += cfg.nfs.fold(0.0)(_.readMs(sizes(p)))
+              parentRead += nfs.readMs(sizes(p))
           }
         }
         val readDelay = baseRead + parentRead
@@ -68,7 +68,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
         df.write.mode("overwrite").parquet(cfg.outDir.resolve(mv.name).toString)
         val execMs = (System.nanoTime() - tExec0) / 1e6
         computeTotal += execMs
-        val writeDelay = cfg.nfs.fold(0.0)(_.writeMs(bytes))
+        val writeDelay = nfs.writeMs(bytes)
         if (writeDelay >= 1.0) Thread.sleep(writeDelay.toLong)
         writeFgTotal += writeDelay
 

@@ -1,6 +1,7 @@
 package repro.sim
 
 import repro.core.{Dag, Plan}
+import repro.exec.NfsModel
 
 /** Deterministic timeline simulator of an MV refresh run (§ III-C, Fig 6).
   *
@@ -11,7 +12,8 @@ import repro.core.{Dag, Plan}
   * the critical path. Children read flagged parents from memory and
   * unflagged parents from storage. A flagged node leaves memory once both
   * its last child has executed and its background write has finished
-  * (Fig 6, t4).
+  * (Fig 6, t4). Storage and memory are priced by `NfsModel`, the same
+  * model that gives the optimizer its speedup scores.
   */
 object Simulator {
 
@@ -39,7 +41,7 @@ object Simulator {
     def queryMs: Double = tableReadMs + computeMs
   }
 
-  def simulate(dag: Dag, plan: Plan, cost: CostModel, in: Inputs): Report = {
+  def simulate(dag: Dag, plan: Plan, cost: NfsModel, in: Inputs): Report = {
     require(dag.isTopological(plan.order), "simulate requires a topological order")
     require(in.sizes.size == dag.n && in.computeMs.size == dag.n && in.baseReadBytes.size == dag.n)
 
@@ -52,26 +54,22 @@ object Simulator {
 
     plan.order.foreach { i =>
       val parentRead = dag.parents(i).map { p =>
-        if (plan.flagged(p)) cost.memReadMs(in.sizes(p)) else cost.diskReadMs(in.sizes(p))
+        if (plan.flagged(p)) cost.memMs(in.sizes(p)) else cost.readMs(in.sizes(p))
       }.sum
-      val baseRead = if (in.baseReadBytes(i) > 0) cost.diskReadMs(in.baseReadBytes(i)) else 0.0
-      val read = parentRead + baseRead
+      val read = parentRead + cost.readMs(in.baseReadBytes(i))
       val compute = in.computeMs(i)
       readTotal += read
       computeTotal += compute
+      val w = cost.writeMs(in.sizes(i))
+      writeTotal += w // a flagged node's write happens too, off the critical path
       if (plan.flagged(i)) {
-        val createMem = cost.memWriteMs(in.sizes(i)) + in.memCreateMs
-        t += read + compute + createMem
+        t += read + compute + cost.memMs(in.sizes(i)) + in.memCreateMs
         execEnd(i) = t
-        val start = math.max(t, bgFree)
-        bgFree = start + cost.diskWriteMs(in.sizes(i))
+        bgFree = math.max(t, bgFree) + w
         bgEnd(i) = bgFree
-        writeTotal += cost.diskWriteMs(in.sizes(i)) // happens, but off critical path
       } else {
-        val w = cost.diskWriteMs(in.sizes(i))
         t += read + compute + w
         execEnd(i) = t
-        writeTotal += w
       }
     }
 

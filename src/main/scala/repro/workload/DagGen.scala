@@ -2,7 +2,7 @@ package repro.workload
 
 import scala.util.Random
 import repro.core.{Dag, MvNode}
-import repro.sim.CostModel
+import repro.exec.NfsModel
 
 /** Synthetic workload generator (§ VI-A "Generated Workload", § VI-H).
   *
@@ -14,8 +14,8 @@ import repro.sim.CostModel
   *     with transitions estimated from SPJ decompositions of TPC-DS-style
   *     queries, used to derive node sizes from their inputs. Root (SCAN)
   *     sizes are sampled from a TPC-DS-at-100GB table-size palette.
-  * Speedup scores are derived from sizes with the paper-environment cost
-  * model. Everything is deterministic in the seed.
+  * Speedup scores are derived from sizes with `NfsModel.paperEnvironment`
+  * and no in-memory create cost. Everything is deterministic in the seed.
   */
 object DagGen {
 
@@ -71,7 +71,7 @@ object DagGen {
       .getOrElse(dist.last._1)
   }
 
-  def generate(p: Params, cost: CostModel = CostModel.paperEnvironment): Generated = {
+  def generate(p: Params): Generated = {
     require(p.nNodes >= 1 && p.maxOutDegree >= 1)
     val rnd = new Random(p.seed)
 
@@ -148,12 +148,10 @@ object DagGen {
       in * perByteMs
     }.toVector
 
+    // outUsed(v) counts v's out-edges, i.e. its children.
     val nodes = (0 until p.nNodes).map { v =>
-      MvNode(v, s"g$v", sizes(v), 0.0)
+      MvNode(v, s"g$v", sizes(v), NfsModel.paperEnvironment.speedupScore(outUsed(v), sizes(v), 0.0))
     }.toVector
-    val structural = Dag(nodes, edges.toSet)
-    val scored = Dag(nodes.map(nd =>
-      nd.copy(speedupMs = cost.speedupScore(structural, sizes.toIndexedSeq, nd.id))), edges.toSet)
-    Generated(scored, ops.toVector, computeMs, stageOf)
+    Generated(Dag(nodes, edges.toSet), ops.toVector, computeMs, stageOf)
   }
 }

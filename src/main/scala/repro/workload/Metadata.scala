@@ -30,22 +30,16 @@ object Metadata {
     Calibration(report, report.sizes)
   }
 
-  /** Speedup scores t_i (§ IV) from calibrated sizes under the NFS model:
-    * each child saves a storage read of s_i and the node's own storage
-    * write moves off the critical path, minus the cost of creating the node
-    * in memory — the paper's `time(create v_i in memory)` term. In this
-    * substrate that cost is dominated by the extra Spark action that
-    * materializes the cached DataFrame (`memCreateMs`, observed from runs);
-    * nodes whose I/O savings do not cover it score 0 and are excluded by
-    * SimplifiedMKP's V_exclude rule.
+  /** Speedup scores t_i (§ IV) from calibrated sizes, by
+    * `NfsModel.speedupScore`. `memCreateMs` is the paper's `time(create v_i
+    * in memory)`: in this substrate, the extra Spark action that
+    * materializes the cached DataFrame.
     */
   def speedupScores(workload: Workload, sizes: Map[String, Long], nfs: NfsModel,
                     memCreateMs: Double = 0.0): Map[String, Double] = {
     val sdag = workload.structuralDag
     workload.mvs.zipWithIndex.map { case (mv, i) =>
-      val s = sizes(mv.name)
-      val saving = sdag.children(i).size * nfs.readMs(s) + nfs.writeMs(s) - memCreateMs
-      mv.name -> math.max(0.0, saving)
+      mv.name -> nfs.speedupScore(sdag.children(i).size, sizes(mv.name), memCreateMs)
     }.toMap
   }
 

@@ -29,6 +29,10 @@ final case class Dataset(
       ys.map(y => partitionBytes(table).getOrElse(y, 0L)).sum
     case _ => tableBytes(table)
   }
+
+  /** Bytes `mv` reads from each of its base tables, in `baseTables` order. */
+  def baseReadBytes(mv: MvSpec): Vector[Long] =
+    mv.baseTables.map(t => effectiveReadBytes(t, mv.partitionYears.get(t)))
 }
 
 /** Deterministic synthetic generator for a TPC-DS-shaped schema (§ VI-A).

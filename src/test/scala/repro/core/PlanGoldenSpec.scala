@@ -87,4 +87,23 @@ class PlanGoldenSpec extends AnyFunSuite {
     }
     assert(out.hex == "cc57231916baf338b498493e25e9c515a118dbb010c3791cb84b40707fa47ede")
   }
+
+  test("DagGen and workload speedup scores are unchanged bit for bit") {
+    val out = new Digest
+    for (d <- dags; i <- 0 until d.n) out.add(java.lang.Double.toString(d.speedup(i)))
+    for {
+      dataset <- Seq(256L << 20, 2 * GB, 16 * GB)
+      scanSeconds <- Seq(8.0, 10.0)
+      memCreateMs <- Seq(0.0, 400.0)
+    } {
+      val nfs = NfsModel.scaledTo(dataset, scanSeconds)
+      Workloads.all.zipWithIndex.foreach { case (w, wi) =>
+        val rnd = new Random(17 + wi)
+        val sizes = w.mvs.map(mv => mv.name -> (1L << 20) * (1 + rnd.nextInt(200))).toMap
+        val scores = Metadata.speedupScores(w, sizes, nfs, memCreateMs)
+        w.mvs.foreach(mv => out.add(s"${mv.name} ${java.lang.Double.toString(scores(mv.name))}"))
+      }
+    }
+    assert(out.hex == "98e46966ba7526a61fb6f50ac40d4e9183939c049d7be177860e710cd3fd43a1")
+  }
 }

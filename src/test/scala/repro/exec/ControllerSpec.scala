@@ -1,9 +1,10 @@
 package repro.exec
 
-import org.apache.spark.sql.DataFrame
+import java.nio.file.Files
+import org.apache.spark.sql.AnalysisException
 import repro.SparkSpec
 import repro.core.{AlternatingOpt, Plan}
-import repro.workload.{Metadata, TestData, Workloads}
+import repro.workload.{Metadata, MvSpec, TestData, Workload, Workloads}
 
 class ControllerSpec extends SparkSpec {
 
@@ -143,5 +144,19 @@ class ControllerSpec extends SparkSpec {
       assert(part.sizes(name) < reg.sizes(name),
         s"$name: ${part.sizes(name)} !< ${reg.sizes(name)}")
     }
+  }
+
+  test("a failed run leaves no cached DataFrames or background writes behind") {
+    // A flagged node starts its background write; the next node fails.
+    val faulty = Workload("fault", "fault injection", "", Vector(
+      MvSpec("fault_a", "SELECT * FROM store_sales", baseTables = Vector("store_sales")),
+      MvSpec("fault_b", "SELECT no_such_column FROM fault_a", parents = Vector("fault_a"))))
+    val out = TestData.freshOutDir("fault")
+    spark.catalog.clearCache()
+    intercept[AnalysisException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+      .run(faulty, Plan(Vector(0, 1), Set(0)), Map("fault_a" -> 1L)))
+    assert(spark.sharedState.cacheManager.isEmpty)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
   }
 }

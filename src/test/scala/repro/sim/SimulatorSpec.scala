@@ -2,12 +2,12 @@ package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Dag, Plan}
+import repro.exec.NfsModel
 
 class SimulatorSpec extends AnyFunSuite {
 
-  private val cost = CostModel(
-    diskReadBytesPerMs = 100, diskWriteBytesPerMs = 50, memBytesPerMs = 10000,
-    latencyMs = 0)
+  private val cost = NfsModel(
+    readBytesPerMs = 100, writeBytesPerMs = 50, latencyMs = 0, memBytesPerMs = 10000)
 
   // Fig 4/6 workload: MV1 feeds MV2 and MV3.
   private val fig6 = Dag.of(Seq(1000, 500, 500), Seq(1, 1, 1),
@@ -82,7 +82,7 @@ class SimulatorSpec extends AnyFunSuite {
       // Flagging can only add the in-memory creation cost (a trailing
       // flagged node's background write overlaps nothing); everything else
       // is a saving.
-      val memCreate = sizes.map(cost.memWriteMs).sum
+      val memCreate = sizes.map(cost.memMs).sum
       assert(all.endToEndMs <= none.endToEndMs + memCreate + 1e-6, s"seed $s")
     }
   }
@@ -95,37 +95,22 @@ class SimulatorSpec extends AnyFunSuite {
     val i = Simulator.Inputs(Vector(1000L, 10L), Vector(5.0, 50.0), Vector(0L, 0L))
     val none = Simulator.simulate(d, Plan(Vector(0, 1), Set.empty), cost, i)
     val one = Simulator.simulate(d, Plan(Vector(0, 1), Set(0)), cost, i)
-    val predicted = cost.speedupScore(d, Vector(1000L, 10L), 0)
+    val predicted = cost.speedupScore(d.children(0).size, 1000L, 0.0)
     assert(math.abs((none.endToEndMs - one.endToEndMs) - predicted) < 0.5)
   }
-}
 
-class CostModelSpec extends AnyFunSuite {
-  private val cm = CostModel(100, 50, 10000, latencyMs = 1)
-
-  test("read/write/mem costs") {
-    assert(cm.diskReadMs(1000) == 1 + 10.0)
-    assert(cm.diskWriteMs(1000) == 1 + 20.0)
-    assert(cm.memReadMs(1000) == 0.1)
-  }
-
-  test("speedup score counts every child read plus the write") {
-    val d = Dag.of(Seq(1000, 1, 1), Seq(0, 0, 0), Set((0, 1), (0, 2)))
-    val t = cm.speedupScore(d, Vector(1000L, 1L, 1L), 0)
-    val perChild = cm.diskReadMs(1000) - cm.memReadMs(1000)
-    assert(math.abs(t - (2 * perChild + cm.diskWriteMs(1000) - cm.memWriteMs(1000))) < 1e-9)
-  }
-
-  test("childless node still earns the write-side saving") {
-    val d = Dag.of(Seq(1000), Seq(0), Set.empty)
-    assert(cm.speedupScore(d, Vector(1000L), 0) ==
-      cm.diskWriteMs(1000) - cm.memWriteMs(1000))
-  }
-
-  test("paper environment constants are sane") {
-    val p = CostModel.paperEnvironment
-    assert(p.diskReadBytesPerMs > p.diskWriteBytesPerMs)
-    assert(p.memBytesPerMs > p.diskReadBytesPerMs)
+  test("speedup score with a create cost equals the simulated saving of an isolated flag") {
+    // 0 → 1 and 0 → 2; node 0's background write (20 ms) ends before the
+    // children's foreground work does, so the whole score is saved.
+    val d = Dag.of(Seq(1000, 10, 10), Seq(0, 0, 0), Set((0, 1), (0, 2)))
+    val i = Simulator.Inputs(Vector(1000L, 10L, 10L), Vector(5.0, 50.0, 50.0),
+      Vector(300L, 0L, 0L), memCreateMs = 3.0)
+    val order = Vector(0, 1, 2)
+    val none = Simulator.simulate(d, Plan(order, Set.empty), cost, i)
+    val one = Simulator.simulate(d, Plan(order, Set(0)), cost, i)
+    val predicted = cost.speedupScore(d.children(0).size, 1000L, i.memCreateMs)
+    assert(predicted > 0)
+    assert(math.abs((none.endToEndMs - one.endToEndMs) - predicted) < 1e-9)
   }
 }
 
