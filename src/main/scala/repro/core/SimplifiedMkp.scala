@@ -15,22 +15,29 @@ object SimplifiedMkp {
   def solve(dag: Dag, memoryBudget: Long, order: Vector[Int]): Set[Int] = {
     require(dag.isTopological(order), "SimplifiedMKP requires a topological order")
     val exclude = Constraints.excluded(dag, memoryBudget)
-    val sets    = Constraints.constraintSets(dag, order, memoryBudget)
-
-    val vMkp = sets.flatten.distinct.sorted // nodes that appear in any kept set
-    val idx  = vMkp.zipWithIndex.toMap
-
-    val profits = vMkp.map(dag.speedup).toVector
-    val weights = sets.map { s =>
-      vMkp.map(j => if (s(j)) dag.size(j) else 0L).toVector
-    }
-    val capacities = Vector.fill(sets.size)(memoryBudget)
-
-    val chosen = MkpSolver.solve(profits, weights, capacities).map(vMkp(_))
+    val mkp     = instance(dag, memoryBudget, order)
+    val chosen  = MkpSolver.solve(mkp.profits, mkp.weights, mkp.capacities).map(mkp.nodes(_))
 
     // Algorithm 1 line 9: nodes outside every kept constraint set and not
     // excluded are flagged for free.
-    val free = (0 until dag.n).filter(i => !idx.contains(i) && !exclude(i)).toSet
+    val inMkp = mkp.nodes.toSet
+    val free = (0 until dag.n).filter(i => !inMkp(i) && !exclude(i)).toSet
     chosen ++ free
+  }
+
+  /** The MKP of Algorithm 1 under `order`: item y is node `nodes(y)`, one of
+    * the nodes in any kept constraint set (ascending), and each kept set is
+    * one row of weights with capacity `memoryBudget`.
+    */
+  private[core] final case class Instance(nodes: Vector[Int], profits: Vector[Double],
+                                          weights: Vector[Vector[Long]], capacities: Vector[Long])
+
+  private[core] def instance(dag: Dag, memoryBudget: Long, order: Vector[Int]): Instance = {
+    val sets = Constraints.constraintSets(dag, order, memoryBudget)
+    val vMkp = sets.flatten.distinct.sorted
+    Instance(vMkp,
+      vMkp.map(dag.speedup).toVector,
+      sets.map(s => vMkp.map(j => if (s(j)) dag.size(j) else 0L).toVector),
+      Vector.fill(sets.size)(memoryBudget))
   }
 }

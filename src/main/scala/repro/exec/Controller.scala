@@ -89,6 +89,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
     val bgWrites = mutable.Map.empty[String, Future[Double]]
     val released = mutable.Buffer.empty[org.apache.spark.sql.DataFrame]
+    val views = mutable.Set.empty[String] // parent MV temp views registered
     // A flagged node leaves the catalog right after the position where its
     // residency ends (§ III-C): its last child, or itself when childless.
     val releaseAfter = {
@@ -107,6 +108,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
         var parentRead = 0.0
         mv.parents.foreach { p =>
+          views += p
           if (catalog.contains(p)) {
             catalog.dataFrame(p).createOrReplaceTempView(p)
           } else {
@@ -168,6 +170,9 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       released.foreach(_.unpersist(false))
       catalog.clear()
       writePool.shutdown()
+      // The views point at unpersisted DataFrames or at output a later run
+      // may delete; none may outlive the run.
+      views.foreach(spark.catalog.dropTempView)
     }
   }
 

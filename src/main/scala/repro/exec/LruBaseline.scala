@@ -26,6 +26,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
     val nodeReports = Vector.newBuilder[NodeReport]
     var readTotal, computeTotal, writeFgTotal = 0.0
     val sdag = workload.structuralDag
+    val views = mutable.Set.empty[String] // parent MV temp views registered
     val order = sdag.topological
 
     def evictUntilFits(extra: Long): Unit =
@@ -43,6 +44,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
         val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
         var parentRead = 0.0
         mv.parents.foreach { p =>
+          views += p
           cache.remove(p) match {
             case Some(entry) => // hit: touch (reinsert most-recent), no storage read
               cache(p) = entry
@@ -86,6 +88,7 @@ final class LruBaseline(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) 
     } finally {
       cache.values.foreach(_._1.unpersist(false))
       cache.clear()
+      views.foreach(spark.catalog.dropTempView)
     }
   }
 }

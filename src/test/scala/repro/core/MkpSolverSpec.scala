@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.workload.DagGen
 
 class MkpSolverSpec extends AnyFunSuite {
 
@@ -65,7 +66,9 @@ class MkpSolverSpec extends AnyFunSuite {
       val profits = Vector.fill(l)(rnd.nextInt(100).toDouble)
       val weights = Vector.fill(k)(Vector.fill(l)(rnd.nextInt(50).toLong))
       val capacities = Vector.fill(k)((20 + rnd.nextInt(100)).toLong)
-      val sel = MkpSolver.solve(profits, weights, capacities)
+      val r = MkpSolver.search(profits, weights, capacities)
+      assert(r.provenOptimal, s"seed $seed truncated")
+      val sel = r.selected
       assert(feasible(sel, weights, capacities), s"seed $seed infeasible")
       val best = BruteForce.mkpValue(profits, weights, capacities)
       assert(math.abs(value(sel, profits) - best) < 1e-6,
@@ -82,7 +85,9 @@ class MkpSolverSpec extends AnyFunSuite {
       val weights = Vector.fill(k)(Vector.fill(l)(
         if (rnd.nextBoolean()) 0L else rnd.nextInt(60).toLong))
       val capacities = Vector.fill(k)(80L)
-      val sel = MkpSolver.solve(profits, weights, capacities)
+      val r = MkpSolver.search(profits, weights, capacities)
+      assert(r.provenOptimal, s"seed $seed truncated")
+      val sel = r.selected
       val best = BruteForce.mkpValue(profits, weights, capacities)
       assert(math.abs(value(sel, profits) - best) < 1e-6, s"seed $seed")
     }
@@ -115,5 +120,49 @@ class MkpSolverSpec extends AnyFunSuite {
       MkpSolver.solve(Vector(1.0), Vector(Vector(1L)), Vector(1L, 2L)))
     assertThrows[IllegalArgumentException](
       MkpSolver.solve(Vector(-1.0), Vector(Vector(1L)), Vector(1L)))
+    assertThrows[IllegalArgumentException](
+      MkpSolver.solve(Vector(1.0), Vector(Vector(-1L)), Vector(1L)))
+    assertThrows[IllegalArgumentException](
+      MkpSolver.solve(Vector(1.0), Vector(Vector(1L)), Vector(-1L)))
+  }
+
+  // Differential tests: the optimized search must visit exactly the nodes
+  // the seed solver visits and return its selection, also when the node cap
+  // cuts the search short.
+  private val caps = Seq(200_000L, 10L, 1_000L)
+
+  private def assertSameSearch(what: String, profits: Vector[Double],
+                               weights: Vector[Vector[Long]], capacities: Vector[Long]): Unit =
+    caps.foreach { cap =>
+      val (refSel, refNodes) = ReferenceMkp.solve(profits, weights, capacities, cap)
+      val r = MkpSolver.search(profits, weights, capacities, cap)
+      assert(r.selected == refSel, s"$what, cap $cap: selection")
+      assert(r.searchNodes == refNodes, s"$what, cap $cap: search nodes")
+      assert(r.provenOptimal == (refNodes <= cap), s"$what, cap $cap: provenOptimal")
+    }
+
+  test("search equals the reference solver on random dense instances") {
+    (0 until 100).foreach { seed =>
+      val rnd = new Random(5000 + seed)
+      val l = 5 + rnd.nextInt(36)
+      val k = 1 + rnd.nextInt(6)
+      val profits = Vector.fill(l)(
+        if (seed % 2 == 0) rnd.nextInt(100).toDouble else rnd.nextDouble() * 1000)
+      val weights = Vector.fill(k)(Vector.fill(l)(1L + rnd.nextInt(100)))
+      val capacities = weights.map(row => row.sum * (1 + rnd.nextInt(3)) / 5)
+      assertSameSearch(s"seed $seed", profits, weights, capacities)
+    }
+  }
+
+  test("search equals the reference solver on DagGen alive-set instances") {
+    val GB = 1L << 30
+    for {
+      s <- 0 until 50
+      d = DagGen.generate(DagGen.Params(100, seed = s)).dag
+      m <- Seq(1 * GB, 4 * GB, 16 * GB)
+    } {
+      val mkp = SimplifiedMkp.instance(d, m, d.topological)
+      assertSameSearch(s"dag $s at ${m / GB} GB", mkp.profits, mkp.weights, mkp.capacities)
+    }
   }
 }

@@ -16,6 +16,13 @@ class ControllerSpec extends SparkSpec {
     spark.read.parquet(dir.resolve(name).toString)
       .collect().map(_.toString).toSeq.sorted
 
+  /** Temporary views named after one of `wl`'s MVs. */
+  private def mvViews(wl: Workload): Seq[String] = {
+    val names = wl.mvs.map(_.name.toLowerCase).toSet
+    spark.catalog.listTables().collect().toSeq
+      .filter(t => t.isTemporary && names(t.name.toLowerCase)).map(_.name)
+  }
+
   private lazy val baseline: (RunReport, java.nio.file.Path) = {
     val out = TestData.freshOutDir("base")
     val cfg = ExecConfig(0L, None, out)
@@ -158,5 +165,21 @@ class ControllerSpec extends SparkSpec {
     assert(spark.sharedState.cacheManager.isEmpty)
     assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
     assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
+    assert(mvViews(faulty).isEmpty, "MV temp views left behind")
+  }
+
+  test("a finished run leaves no MV temp views behind") {
+    val (calReport, _) = baseline
+    // Other suites share this SparkSession and register MV views on purpose.
+    mvViews(w).foreach(spark.catalog.dropTempView)
+    val budget = ds.totalBytes
+    val plan = AlternatingOpt.solve(Metadata.dag(w, calReport.sizes, NfsModel(1e9, 1e9, 0)), budget).plan
+    assert(plan.flagged.nonEmpty)
+    new Controller(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views")))
+      .run(w, plan, calReport.sizes)
+    assert(mvViews(w).isEmpty, "Controller left MV temp views behind")
+    new LruBaseline(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views-lru")))
+      .run(w, calReport.sizes)
+    assert(mvViews(w).isEmpty, "LruBaseline left MV temp views behind")
   }
 }
