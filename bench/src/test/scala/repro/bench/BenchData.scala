@@ -15,7 +15,9 @@ import repro.workload.{Dataset, Metadata, TpcDsLite, Workload, Workloads}
   * and the Fig 9 comparison reuse the same executions.
   *
   * Knob (env): REPRO_BENCH_SF (default 0.01). The modeled NFS scans the
-  * whole dataset in `NfsModel.scaledTo`'s default 8 s.
+  * whole dataset in `NfsModel.scaledTo`'s default 8 s. Tables are written
+  * to REPRO_RESULTS_DIR, which build.sbt sets to this checkout's `results/`
+  * unless it is already set.
   */
 object BenchData {
   val sf: Double = sys.env.get("REPRO_BENCH_SF").map(_.toDouble).getOrElse(0.01)
@@ -23,7 +25,7 @@ object BenchData {
   lazy val spark: SparkSession = SparkSpec.shared
   lazy val dir: Path = Files.createTempDirectory("sc-bench")
   lazy val resultsDir: Path = {
-    val p = Paths.get(sys.env.getOrElse("REPRO_RESULTS_DIR", "/root/repo/results"))
+    val p = Paths.get(sys.env("REPRO_RESULTS_DIR"))
     Files.createDirectories(p); p
   }
 

@@ -82,24 +82,6 @@ final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
 
   def size(i: Int): Long      = nodes(i).sizeBytes
   def speedup(i: Int): Double = nodes(i).speedupMs
-
-  /** Transitive descendants of i (excluding i). */
-  def descendants(i: Int): Set[Int] = {
-    val seen = scala.collection.mutable.Set.empty[Int]
-    def rec(v: Int): Unit = children(v).foreach { c =>
-      if (seen.add(c)) rec(c)
-    }
-    rec(i); seen.toSet
-  }
-
-  /** Transitive ancestors of i (excluding i). */
-  def ancestors(i: Int): Set[Int] = {
-    val seen = scala.collection.mutable.Set.empty[Int]
-    def rec(v: Int): Unit = parents(v).foreach { p =>
-      if (seen.add(p)) rec(p)
-    }
-    rec(i); seen.toSet
-  }
 }
 
 object Dag {

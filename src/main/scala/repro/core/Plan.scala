@@ -6,16 +6,11 @@ import scala.collection.immutable.ArraySeq
   *
   * @param order   execution order as a sequence of node ids; order(k) is the
   *                (k+1)-th node to execute. (The paper's τ maps node → rank;
-  *                `rank` below recovers that view.)
+  *                [[Plan.residency]]'s `start` gives that view.)
   * @param flagged U — the nodes whose outputs are kept in the Memory Catalog
   */
 final case class Plan(order: Vector[Int], flagged: Set[Int]) {
-
-  /** rank(i) = τ(i): the 0-based position of node i in the order. */
-  lazy val rank: Map[Int, Int] = order.zipWithIndex.toMap
-
   def totalSpeedup(dag: Dag): Double = flagged.toSeq.map(dag.speedup).sum
-  def totalFlaggedBytes(dag: Dag): Long = flagged.toSeq.map(dag.size).sum
 }
 
 /** Memory-occupancy semantics of a plan (§ III-C, § IV).
@@ -24,8 +19,9 @@ final case class Plan(order: Vector[Int], flagged: Set[Int]) {
   * until its last child (by execution order) has executed; a childless
   * flagged node occupies memory only during its own execution. That rule
   * is stated once, in [[Plan.residency]]; peak and average memory, the
-  * alive-set constraints, the baselines' feasibility test and the
-  * Controller's release schedule all derive from its intervals.
+  * alive-set constraints, the baselines' feasibility test, the
+  * Controller's release schedule and the Simulator's continuous-time peak
+  * all derive from its intervals.
   */
 object Plan {
 

@@ -24,9 +24,7 @@ final case class ExecConfig(memoryCatalogBytes: Long, nfs: Option[NfsModel], out
   */
 final case class NodeReport(name: String, flagged: Boolean, outBytes: Long,
                             baseReadMs: Double, parentReadMs: Double,
-                            execMs: Double, writeDelayMs: Double) {
-  def readDelayMs: Double = baseReadMs + parentReadMs
-}
+                            execMs: Double, writeDelayMs: Double)
 
 /** End-to-end measurements from one run (Table IV semantics: the Query
   * latency is TableRead + Compute; foreground writes are reported apart,
@@ -57,15 +55,6 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
   private def mvPath(name: String): Path = cfg.outDir.resolve(name)
 
-  private def dirBytes(p: Path): Long = {
-    if (!Files.exists(p)) 0L
-    else {
-      val s = Files.walk(p)
-      try s.filter(Files.isRegularFile(_)).mapToLong(Files.size(_)).sum
-      finally s.close()
-    }
-  }
-
   private def delay(ms: Double): Unit =
     if (ms >= 1.0) Thread.sleep(ms.toLong)
 
@@ -75,7 +64,8 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     */
   def run(workload: Workload, plan: Plan, sizes: Map[String, Long],
           method: String = "sc"): RunReport = {
-    require(plan.order.size == workload.mvs.size, "plan must cover every MV")
+    val dag = workload.structuralDag
+    require(dag.isTopological(plan.order), "plan order must be a topological order of the MVs")
     require(plan.flagged.forall(i => sizes.contains(workload.mvs(i).name)),
       "flagged nodes need calibrated sizes")
     Files.createDirectories(cfg.outDir)
@@ -93,7 +83,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     // A flagged node leaves the catalog right after the position where its
     // residency ends (§ III-C): its last child, or itself when childless.
     val releaseAfter = {
-      val r = Plan.residency(workload.structuralDag, plan.order)
+      val r = Plan.residency(dag, plan.order)
       plan.flagged.toSeq.groupBy(r.end)
     }
     val nodeReports = Vector.newBuilder[NodeReport]
@@ -113,7 +103,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
             catalog.dataFrame(p).createOrReplaceTempView(p)
           } else {
             spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
-            parentRead += nfs.readMs(sizes.getOrElse(p, dirBytes(mvPath(p))))
+            parentRead += nfs.readMs(sizes.getOrElse(p, TpcDsLite.dirBytes(mvPath(p))))
           }
         }
         val readDelay = baseRead + parentRead
@@ -143,7 +133,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
           spark.sql(sql).write.mode("overwrite").parquet(mvPath(mv.name).toString)
           val execMs = (System.nanoTime() - tExec0) / 1e6
           computeTotal += execMs
-          outBytes = sizes.getOrElse(mv.name, dirBytes(mvPath(mv.name)))
+          outBytes = sizes.getOrElse(mv.name, TpcDsLite.dirBytes(mvPath(mv.name)))
           writeDelay = nfs.writeMs(outBytes)
           delay(writeDelay)
           writeFgTotal += writeDelay

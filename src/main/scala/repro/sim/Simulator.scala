@@ -12,8 +12,9 @@ import repro.exec.NfsModel
   * the critical path. Children read flagged parents from memory and
   * unflagged parents from storage. A flagged node leaves memory once both
   * its last child has executed and its background write has finished
-  * (Fig 6, t4). Storage and memory are priced by `NfsModel`, the same
-  * model that gives the optimizer its speedup scores.
+  * (Fig 6, t4); the last child comes from [[Plan.residency]]. Storage and
+  * memory are priced by `NfsModel`, the same model that gives the
+  * optimizer its speedup scores.
   */
 object Simulator {
 
@@ -45,7 +46,6 @@ object Simulator {
     require(dag.isTopological(plan.order), "simulate requires a topological order")
     require(in.sizes.size == dag.n && in.computeMs.size == dag.n && in.baseReadBytes.size == dag.n)
 
-    val rank = plan.rank
     var t = 0.0          // foreground clock
     var bgFree = 0.0     // background materialization channel availability
     val execEnd = Array.ofDim[Double](dag.n)
@@ -76,17 +76,15 @@ object Simulator {
     val endToEnd = math.max(t, bgFree)
 
     // Peak Memory-Catalog bytes over continuous time: a flagged node is
-    // resident from its execution end until max(last child exec end, its
-    // own background-write end). Sample at every event boundary.
-    val flagged = plan.flagged.toVector.sortBy(rank)
-    val residentUntil = flagged.map { j =>
-      val lastChild = dag.children(j).map(execEnd).foldLeft(0.0)(math.max)
-      j -> math.max(math.max(lastChild, bgEnd(j)), execEnd(j))
-    }.toMap
-    val events = (flagged.map(execEnd(_)) ++ flagged.map(residentUntil)).distinct.sorted
-    val peak = events.map { e =>
-      flagged.filter(j => execEnd(j) <= e && e < residentUntil(j)).map(in.sizes(_)).sum
-    }.foldLeft(0L)(math.max)
+    // resident from its execution end until both the last position of its
+    // residency has executed and its own background write has finished.
+    // Releases sort before creations at equal times (half-open intervals).
+    val r = Plan.residency(dag, plan.order)
+    val events = plan.flagged.toVector.flatMap { j =>
+      val until = math.max(execEnd(plan.order(r.end(j))), bgEnd(j))
+      Vector((execEnd(j), in.sizes(j)), (until, -in.sizes(j)))
+    }.sorted(Ordering.Tuple2(Ordering.Double.IeeeOrdering, Ordering.Long))
+    val peak = events.scanLeft(0L)(_ + _._2).max
 
     Report(endToEnd, readTotal, computeTotal, writeTotal, peak, plan.order.map(execEnd).toVector)
   }

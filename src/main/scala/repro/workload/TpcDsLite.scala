@@ -156,7 +156,8 @@ object TpcDsLite {
     df.join(dd, col(s"${prefix}_sold_date_sk") === col("yd_sk"), "left").drop("yd_sk")
   }
 
-  private def dirBytes(p: Path): Long = {
+  /** Total bytes of the regular files under `p`; 0 when `p` is missing. */
+  private[repro] def dirBytes(p: Path): Long = {
     if (!Files.exists(p)) 0L
     else {
       val s = Files.walk(p)

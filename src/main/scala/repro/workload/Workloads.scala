@@ -73,7 +73,7 @@ object Workloads {
   final case class Channel(key: String, table: String, prefix: String,
                            date: String, item: String, cust: String,
                            qty: String, price: String, profit: String) {
-    def yearCol: String = s"${prefix}_sold_year"
+    def yearCol: String = TpcDsLite.yearColumn(prefix)
   }
 
   val store: Channel = Channel("store", "store_sales", "ss",
@@ -89,6 +89,10 @@ object Workloads {
   val channels: Vector[Channel] = Vector(store, catalog, web)
 
   private val Dec = "DECIMAL(18,2)"
+
+  /** UNION ALL of one `sel(channel key)` statement per sales channel. */
+  private def unionChannels(sel: String => String): String =
+    channels.map(c => sel(c.key)).mkString("\nUNION ALL\n")
 
   /** Wide extract: sales ⋈ date_dim. On the regular dataset it keeps
     * `keepYears` (or all years when None) for reuse by downstream filters;
@@ -155,8 +159,6 @@ object Workloads {
           parents = Vector(s"io1_${k}_returns")),
       )
     }
-    def unionChannels(sel: String => String): String =
-      channels.map(c => sel(c.key)).mkString("\nUNION ALL\n")
     val cross = Vector(
       MvSpec("io1_all_cat_profit",
         unionChannels(k =>
@@ -288,9 +290,9 @@ object Workloads {
     }
     val cross = Vector(
       MvSpec("io3_all_worst",
-        channels.map(c =>
-          s"SELECT '${c.key}' AS channel, item_sk AS item_sk, pos_amt AS pos_amt, " +
-          s"loss_amt AS loss_amt FROM io3_${c.key}_worst").mkString("\nUNION ALL\n"),
+        unionChannels(k =>
+          s"SELECT '$k' AS channel, item_sk AS item_sk, pos_amt AS pos_amt, " +
+          s"loss_amt AS loss_amt FROM io3_${k}_worst"),
         parents = channels.map(c => s"io3_${c.key}_worst")),
       MvSpec("io3_worst_report",
         s"""SELECT i.i_category AS i_category, COUNT(*) AS item_cnt,
@@ -354,9 +356,9 @@ object Workloads {
     }
     val cross = Vector(
       MvSpec("c1_all_manu",
-        channels.map(c =>
-          s"SELECT '${c.key}' AS channel, i_manufact_id AS i_manufact_id, sales_amt AS sales_amt, " +
-          s"qty_sum AS qty_sum, cnt AS cnt FROM c1_${c.key}_manu_agg").mkString("\nUNION ALL\n"),
+        unionChannels(k =>
+          s"SELECT '$k' AS channel, i_manufact_id AS i_manufact_id, sales_amt AS sales_amt, " +
+          s"qty_sum AS qty_sum, cnt AS cnt FROM c1_${k}_manu_agg"),
         parents = channels.map(c => s"c1_${c.key}_manu_agg")),
       MvSpec("c1_manu_report",
         s"""SELECT i_manufact_id AS i_manufact_id,
@@ -365,9 +367,9 @@ object Workloads {
            |FROM c1_all_manu GROUP BY i_manufact_id""".stripMargin,
         parents = Vector("c1_all_manu")),
       MvSpec("c1_all_state",
-        channels.map(c =>
-          s"SELECT '${c.key}' AS channel, c_state AS c_state, sales_amt AS sales_amt, " +
-          s"cnt AS cnt FROM c1_${c.key}_state_agg").mkString("\nUNION ALL\n"),
+        unionChannels(k =>
+          s"SELECT '$k' AS channel, c_state AS c_state, sales_amt AS sales_amt, " +
+          s"cnt AS cnt FROM c1_${k}_state_agg"),
         parents = channels.map(c => s"c1_${c.key}_state_agg")),
     )
     Workload("c1", "Compute 1", "33, 56, 60, 61", perChannel ++ cross)
@@ -423,9 +425,9 @@ object Workloads {
           |  JOIN c2_web_freq_items w ON s.item_sk = w.item_sk""".stripMargin,
         parents = Vector("c2_store_freq_items", "c2_catalog_freq_items", "c2_web_freq_items")),
       MvSpec("c2_all_filtered",
-        channels.map(c =>
-          s"SELECT '${c.key}' AS channel, customer_sk AS customer_sk, sales_amt AS sales_amt, " +
-          s"cnt AS cnt FROM c2_${c.key}_filtered").mkString("\nUNION ALL\n"),
+        unionChannels(k =>
+          s"SELECT '$k' AS channel, customer_sk AS customer_sk, sales_amt AS sales_amt, " +
+          s"cnt AS cnt FROM c2_${k}_filtered"),
         parents = channels.map(c => s"c2_${c.key}_filtered")),
       MvSpec("c2_cross_best",
         s"""SELECT customer_sk AS customer_sk, SUM(CAST(sales_amt AS $Dec)) AS total_sales,

@@ -60,13 +60,6 @@ class DagSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](MvNode(0, "a", -1, 0))
   }
 
-  test("descendants and ancestors") {
-    assert(diamond.descendants(0) == Set(1, 2, 3))
-    assert(diamond.descendants(3) == Set.empty[Int])
-    assert(diamond.ancestors(3) == Set(0, 1, 2))
-    assert(diamond.ancestors(0) == Set.empty[Int])
-  }
-
   test("size and speedup accessors") {
     assert(diamond.size(2) == 30L)
     assert(diamond.speedup(3) == 4.0)

@@ -10,11 +10,6 @@ class PlanSpec extends AnyFunSuite {
     edges = Set((0, 1), (0, 3), (2, 4), (4, 5)))
   private val idOrder = Vector(0, 1, 2, 3, 4, 5)
 
-  test("rank inverts the order") {
-    val p = Plan(Vector(2, 0, 1), Set.empty)
-    assert(p.rank == Map(2 -> 0, 0 -> 1, 1 -> 2))
-  }
-
   // A node's release rank is the end of its residency interval; it is
   // resident at position k when its span covers k.
   test("releaseRank is the last child's position") {
@@ -81,7 +76,7 @@ class PlanSpec extends AnyFunSuite {
       val p = Plan(order, flags)
       // Direct simulation: for each time step, sum sizes of flagged nodes
       // whose execution has happened and that still have a pending child.
-      val pos = p.rank
+      val pos = order.zipWithIndex.toMap
       val direct = (0 until d.n).map { k =>
         flags.toSeq.filter { j =>
           val lastChild = (d.children(j).map(pos) :+ pos(j)).max

@@ -100,6 +100,22 @@ class ControllerSpec extends SparkSpec {
       assertThrows[IllegalArgumentException](ctrl.run(w, plan, sizes))
   }
 
+  test("a non-topological order is rejected before any MV runs") {
+    // Reversed, the child would silently read the parent's output left in
+    // `out` by the earlier run instead of the parent's fresh refresh.
+    val chain = Workload("topo", "order check", "", Vector(
+      MvSpec("topo_a", "SELECT d_date_sk, d_year FROM date_dim", baseTables = Vector("date_dim")),
+      MvSpec("topo_b", "SELECT d_year, COUNT(*) AS cnt FROM topo_a GROUP BY d_year",
+        parents = Vector("topo_a"))))
+    val out = TestData.freshOutDir("topo")
+    val ctrl = new Controller(spark, ds, ExecConfig(0L, None, out))
+    ctrl.runBaseline(chain)
+    def written = chain.mvs.map(m => Files.getLastModifiedTime(out.resolve(m.name).resolve("_SUCCESS")))
+    val before = written
+    intercept[IllegalArgumentException](ctrl.run(chain, Plan(Vector(1, 0), Set.empty), Map.empty))
+    assert(written == before, "an MV was refreshed under the rejected order")
+  }
+
   test("flagged nodes require calibrated sizes") {
     val ctrl = new Controller(spark, ds, ExecConfig(1L << 30, None, TestData.freshOutDir("nosize")))
     assertThrows[IllegalArgumentException](

@@ -1,7 +1,8 @@
 package repro.sim
 
+import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Dag, Plan}
+import repro.core.{BruteForce, Dag, Plan}
 import repro.exec.NfsModel
 
 class SimulatorSpec extends AnyFunSuite {
@@ -111,6 +112,43 @@ class SimulatorSpec extends AnyFunSuite {
     val predicted = cost.speedupScore(d.children(0).size, 1000L, i.memCreateMs)
     assert(predicted > 0)
     assert(math.abs((none.endToEndMs - one.endToEndMs) - predicted) < 1e-9)
+  }
+  test("matches the reference simulator on random plans") {
+    var childlessFlagged, zeroLength = 0
+    (0 until 240).foreach { s =>
+      val rnd = new scala.util.Random(s)
+      val d = BruteForce.randomDag(1 + rnd.nextInt(12), s)
+      // A random topological order: Kahn's algorithm taking a random ready node.
+      val indeg = Array.tabulate(d.n)(d.parents(_).size)
+      val ready = mutable.Buffer.from((0 until d.n).filter(indeg(_) == 0))
+      val order = Vector.newBuilder[Int]
+      while (ready.nonEmpty) {
+        val v = ready.remove(rnd.nextInt(ready.size))
+        order += v
+        d.children(v).foreach { c => indeg(c) -= 1; if (indeg(c) == 0) ready += c }
+      }
+      val plan = Plan(order.result(), (0 until d.n).filter(_ => rnd.nextDouble() < 0.6).toSet)
+      // Odd cases use a storage model without delays: zero-length writes,
+      // and with zero compute many nodes end at the same time.
+      val nfs = if (s % 2 == 0) cost else NfsModel.free
+      val i = Simulator.Inputs(
+        sizes = Vector.fill(d.n)(rnd.nextInt(2000).toLong),
+        computeMs = Vector.fill(d.n)(if (rnd.nextBoolean()) 0.0 else rnd.nextInt(20).toDouble),
+        baseReadBytes = Vector.fill(d.n)(rnd.nextInt(3000).toLong),
+        memCreateMs = if (rnd.nextBoolean()) 0.0 else 3.0)
+      val got = Simulator.simulate(d, plan, nfs, i)
+      val want = ReferenceSimulator.simulate(d, plan, nfs, i)
+      assert(got.endToEndMs == want.endToEndMs, s"case $s")
+      assert(got.tableReadMs == want.tableReadMs, s"case $s")
+      assert(got.computeMs == want.computeMs, s"case $s")
+      assert(got.writeMs == want.writeMs, s"case $s")
+      assert(got.nodeEndMs == want.nodeEndMs, s"case $s")
+      assert(got.peakMemoryBytes == want.peakMemoryBytes, s"case $s")
+      val childless = plan.flagged.count(d.children(_).isEmpty)
+      childlessFlagged += childless
+      if (nfs == NfsModel.free && i.memCreateMs == 0.0) zeroLength += childless
+    }
+    assert(childlessFlagged > 0 && zeroLength > 0)
   }
 }
 
