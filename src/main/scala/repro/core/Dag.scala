@@ -66,12 +66,21 @@ final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
     out.result()
   }
 
-  /** True iff `order` is a permutation of all nodes respecting every edge. */
+  /** True iff `order` is a permutation of all nodes respecting every edge;
+    * false (never an exception) on duplicate, missing or out-of-range ids.
+    */
   def isTopological(order: Seq[Int]): Boolean = {
-    if (order.size != n || order.toSet != (0 until n).toSet) return false
-    val pos = Array.ofDim[Int](n)
-    order.zipWithIndex.foreach { case (v, i) => pos(v) = i }
-    edges.forall { case (p, c) => pos(p) < pos(c) }
+    if (order.size != n) return false
+    val pos = Array.fill(n)(-1)
+    var k = 0
+    val it = order.iterator
+    while (it.hasNext) {
+      val v = it.next()
+      if (!valid(v) || pos(v) != -1) return false
+      pos(v) = k
+      k += 1
+    }
+    (0 until n).forall(p => children(p).forall(c => pos(p) < pos(c)))
   }
 
   /** Nodes with no parents (read only base tables). */

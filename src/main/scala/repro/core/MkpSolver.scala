@@ -45,83 +45,181 @@ object MkpSolver {
   def search(profits: Vector[Double], weights: Vector[Vector[Long]], capacities: Vector[Long],
              maxNodes: Long = 200_000L): Result = {
     val l = profits.size
-    val k = weights.size
     require(weights.forall(_.size == l), "weight rows must match item count")
-    require(capacities.size == k, "one capacity per dimension")
-    require(profits.forall(_ >= 0), "profits must be non-negative")
+    require(capacities.size == weights.size, "one capacity per dimension")
     require(weights.forall(_.forall(_ >= 0)), "weights must be non-negative")
+    searchRuns(profits, Vector.tabulate(l)(y => runs(weights.map(_(y)))), capacities, maxNodes)
+  }
+
+  /** A run of one item's weights: `weight` (> 0) in every dimension of
+    * [first, last].
+    */
+  private[core] final case class Run(first: Int, last: Int, weight: Long)
+
+  /** One item's positive weights, per dimension, as maximal runs of
+    * consecutive dimensions with equal weight.
+    */
+  private[core] def runs(column: IndexedSeq[Long]): Vector[Run] = {
+    val out = Vector.newBuilder[Run]
+    var x = 0
+    while (x < column.size) {
+      val w = column(x)
+      var last = x
+      while (last + 1 < column.size && column(last + 1) == w) last += 1
+      if (w != 0) out += Run(x, last, w)
+      x = last + 1
+    }
+    out.result()
+  }
+
+  /** [[search]] with item y's weights given as `runs(y)`, ascending disjoint
+    * runs of dimensions in [0, capacities.size); dimensions outside them
+    * weigh 0. The same search on the same instance as [[search]] on its
+    * dense k×l weights, for alive-set rows one run per item.
+    */
+  private[core] def searchRuns(profits: Vector[Double], runs: Vector[Vector[Run]],
+                               capacities: Vector[Long], maxNodes: Long = 200_000L): Result = {
+    val l = profits.size
+    val k = capacities.size
+    require(runs.size == l, "one run list per item")
+    require(profits.forall(_ >= 0), "profits must be non-negative")
     require(capacities.forall(_ >= 0), "capacities must be non-negative")
+    require(runs.forall(rs => rs.forall(r => r.weight > 0 && r.first >= 0 && r.first <= r.last) &&
+      rs.lazyZip(rs.drop(1)).forall(_.last < _.first) && rs.lastOption.forall(_.last < k)),
+      "runs must be positive, ascending, disjoint and within the dimensions")
     if (l == 0) return Result(Set.empty, 0L, provenOptimal = true)
     // Unconstrained: take everything.
     if (k == 0) return Result(profits.indices.toSet, 0L, provenOptimal = true)
-    new Search(profits.toArray, weights.map(_.toArray).toArray, capacities.toArray, maxNodes).run()
+    val flat = runs.flatten
+    new Search(profits.toArray, runs.scanLeft(0)(_ + _.size).toArray, flat.map(_.first).toArray,
+      flat.map(_.last).toArray, flat.map(_.weight).toArray, capacities.toArray, maxNodes).run()
   }
 
   /** One branch-and-bound search. Its state lives in fields (not in locals
     * captured by closures) so the per-node loops touch plain arrays.
+    *
+    * Item y's runs are [runStart(y), runStart(y + 1)) of runFirst, runLast
+    * and runWeight; reserving or returning the item touches exactly the
+    * `remCap` slices of its runs. The bound's undecided items sit in one
+    * circular doubly linked list per dimension (dancing links): deciding an
+    * item unlinks its slot and undoing the decision relinks it, so the bound
+    * walks only undecided items, in their fixed order.
     */
-  private final class Search(profits: Array[Double], weights: Array[Array[Long]],
+  private final class Search(profits: Array[Double], runStart: Array[Int], runFirst: Array[Int],
+                             runLast: Array[Int], runWeight: Array[Long],
                              capacities: Array[Long], maxNodes: Long) {
     private val l = profits.length
     private val k = capacities.length
 
+    private def normalized(r: Int, x: Int): Double =
+      runWeight(r).toDouble / math.max(1L, capacities(x))
+
     // Branch on items in descending profit density (profit per average
     // normalized weight); dense items first makes the greedy incumbent
-    // strong and the bound tight early.
+    // strong and the bound tight early. Zero weights add nothing to the
+    // sum, so summing the runs' dimensions in ascending order gives the
+    // dense sum exactly.
     private val branchOrder: Array[Int] = {
       val density = Array.tabulate(l) { y =>
         var w = 0.0
-        var x = 0
-        while (x < k) { w += weights(x)(y).toDouble / math.max(1L, capacities(x)); x += 1 }
+        var r = runStart(y)
+        while (r < runStart(y + 1)) {
+          var x = runFirst(r)
+          while (x <= runLast(r)) { w += normalized(r, x); x += 1 }
+          r += 1
+        }
         profits(y) / (w / k + 1e-12)
       }
       (0 until l).sortBy(y => -density(y)).toArray
     }
 
     // Partition bound: assign each item to its tightest dimension (highest
-    // normalized weight). Any feasible completion satisfies that dimension's
-    // constraint restricted to its assigned items, so the sum over
-    // dimensions of single-constraint fractional relaxations — plus the
-    // full profit of items with no positive weight anywhere — is an upper
-    // bound. Far tighter than min-over-dims on sparse alive-set rows.
-    private val assignedDim: Array[Int] = Array.tabulate(l) { y =>
-      var dim = -1
-      var max = 0.0
-      var x = 0
-      while (x < k) {
-        val w = weights(x)(y).toDouble / math.max(1L, capacities(x))
-        if (w > max) { max = w; dim = x }
-        x += 1
+    // normalized weight, the first one on ties). Any feasible completion
+    // satisfies that dimension's constraint restricted to its assigned
+    // items, so the sum over dimensions of single-constraint fractional
+    // relaxations — plus the full profit of items with no positive weight
+    // anywhere — is an upper bound. Far tighter than min-over-dims on
+    // sparse alive-set rows. `assignedRun` is the run holding that dimension.
+    private val (assignedDim, assignedRun) = {
+      val dim = Array.fill(l)(-1)
+      val run = Array.fill(l)(-1)
+      (0 until l).foreach { y =>
+        var max = 0.0
+        var r = runStart(y)
+        while (r < runStart(y + 1)) {
+          var x = runFirst(r)
+          while (x <= runLast(r)) {
+            val w = normalized(r, x)
+            if (w > max) { max = w; dim(y) = x; run(y) = r }
+            x += 1
+          }
+          r += 1
+        }
       }
-      dim
+      (dim, run)
     }
-    private val unassigned: Array[Int] = (0 until l).filter(assignedDim(_) == -1).toArray
 
-    // Per-dimension assigned items ordered by profit/weight, laid out one
-    // dimension after another: dimension x owns bound slots
-    // [dimStart(x), dimStart(x + 1)), each with its item, weight and profit.
-    private val (dimStart, boundItem, boundWeight, boundProfit) = {
-      val dimOrder = Array.tabulate(k) { x =>
+    // Bound slots, one per item, laid out in segments: segment 0 holds the
+    // weightless items in ascending order, segment 1 + x the items assigned
+    // to dimension x by descending profit/weight. Node l + s heads segment
+    // s's circular list; next/prev link its undecided slots in layout order.
+    private val (slotOf, slotWeight, slotProfit, segmentStart) = {
+      val segments = (0 until l).filter(assignedDim(_) == -1) +: Array.tabulate(k) { x =>
         (0 until l).filter(assignedDim(_) == x)
-          .sortBy(y => -(profits(y) / math.max(1L, weights(x)(y)))).toArray
+          .sortBy(y => -(profits(y) / math.max(1L, runWeight(assignedRun(y)))))
       }
-      val items = dimOrder.flatten
-      (dimOrder.scanLeft(0)(_ + _.length), items,
-        Array.tabulate(items.length)(i => weights(assignedDim(items(i)))(items(i)).toDouble),
-        items.map(profits))
+      val items = segments.flatten
+      val slotOf = new Array[Int](l)
+      items.indices.foreach(i => slotOf(items(i)) = i)
+      (slotOf, items.map(y => if (assignedRun(y) < 0) 0.0 else runWeight(assignedRun(y)).toDouble).toArray,
+        items.map(profits).toArray, segments.scanLeft(0)(_ + _.size))
+    }
+    private val next = new Array[Int](l + k + 1)
+    private val prev = new Array[Int](l + k + 1)
+    (0 to k).foreach(s => link(next, prev, l + s, segmentStart(s) until segmentStart(s + 1)))
+
+    // The dimensions with at least one undecided slot, in ascending order,
+    // linked the same way with node k as head: the bound skips the others,
+    // which add no term.
+    private val dimNext = new Array[Int](k + 1)
+    private val dimPrev = new Array[Int](k + 1)
+    link(dimNext, dimPrev, k, (0 until k).filter(x => segmentStart(x + 1) < segmentStart(x + 2)))
+
+    /** Links `members`, in order, into the circular list headed by `head`. */
+    private def link(next: Array[Int], prev: Array[Int], head: Int, members: Seq[Int]): Unit = {
+      var last = head
+      members.foreach { i => next(last) = i; prev(i) = last; last = i }
+      next(last) = head
+      prev(head) = last
     }
 
-    // Sparse rows per item: item y has a positive weight exactly in the
-    // dimensions [rowStart(y), rowStart(y + 1)) of rowDim/rowWeight (for
-    // alive-set rows, a contiguous run of constraint sets). Zero-weight
-    // dimensions never block an item or change a remaining capacity.
-    private val (rowStart, rowDim, rowWeight) = {
-      val rows = Array.tabulate(l)(y => (0 until k).filter(weights(_)(y) != 0).toArray)
-      (rows.scanLeft(0)(_ + _.length), rows.flatten,
-        rows.indices.toArray.flatMap(y => rows(y).map(weights(_)(y))))
+    private def unlink(next: Array[Int], prev: Array[Int], i: Int): Unit = {
+      next(prev(i)) = next(i)
+      prev(next(i)) = prev(i)
     }
 
-    private val decided = new Array[Byte](l) // 0 undecided, 1 in, 2 out
+    /** Undoes the latest [[unlink]] of `i` still in effect. */
+    private def relink(next: Array[Int], prev: Array[Int], i: Int): Unit = {
+      next(prev(i)) = i
+      prev(next(i)) = i
+    }
+
+    private def emptyDim(x: Int): Boolean = next(l + 1 + x) == l + 1 + x
+
+    /** Marks item y decided: unlinks its slot, and its dimension once empty. */
+    private def decide(y: Int): Unit = {
+      unlink(next, prev, slotOf(y))
+      val x = assignedDim(y)
+      if (x >= 0 && emptyDim(x)) unlink(dimNext, dimPrev, x)
+    }
+
+    /** Undoes [[decide]] for the most recently decided item y. */
+    private def undecide(y: Int): Unit = {
+      val x = assignedDim(y)
+      if (x >= 0 && emptyDim(x)) relink(dimNext, dimPrev, x)
+      relink(next, prev, slotOf(y))
+    }
+
     private val remCap  = capacities.clone()
     private val curSel  = new Array[Int](l)
     private var depth   = 0
@@ -130,18 +228,43 @@ object MkpSolver {
     private var best    = -1.0
     private var visited = 0L
 
-    private def fits(y: Int): Boolean = {
-      var j = rowStart(y)
-      val end = rowStart(y + 1)
-      while (j < end) { if (rowWeight(j) > remCap(rowDim(j))) return false; j += 1 }
+    /** Reserves item y's weights if they fit every remaining capacity, in one
+      * pass over its runs; if they do not, returns what the pass already
+      * reserved and reports false.
+      */
+    private def reserve(y: Int): Boolean = {
+      var r = runStart(y)
+      val end = runStart(y + 1)
+      while (r < end) {
+        val w = runWeight(r)
+        var x = runFirst(r)
+        val last = runLast(r)
+        while (x <= last) {
+          if (w > remCap(x)) {
+            while (x > runFirst(r)) { x -= 1; remCap(x) += w }
+            while (r > runStart(y)) { r -= 1; give(r) }
+            return false
+          }
+          remCap(x) -= w
+          x += 1
+        }
+        r += 1
+      }
       true
     }
 
-    /** Reserves (`sign` 1) or returns (`sign` -1) item y's weights. */
-    private def reserve(y: Int, sign: Long): Unit = {
-      var j = rowStart(y)
-      val end = rowStart(y + 1)
-      while (j < end) { remCap(rowDim(j)) -= sign * rowWeight(j); j += 1 }
+    private def give(r: Int): Unit = {
+      val w = runWeight(r)
+      var x = runFirst(r)
+      val last = runLast(r)
+      while (x <= last) { remCap(x) += w; x += 1 }
+    }
+
+    /** Returns item y's reserved weights. */
+    private def release(y: Int): Unit = {
+      var r = runStart(y)
+      val end = runStart(y + 1)
+      while (r < end) { give(r); r += 1 }
     }
 
     /** Whether the partition bound over undecided items (see above) exceeds
@@ -152,27 +275,21 @@ object MkpSolver {
       */
     private def boundExceeds(curProfit: Double, limit: Double): Boolean = {
       var b = curProfit
-      var u = 0
-      while (u < unassigned.length) {
-        if (decided(unassigned(u)) == 0) b += profits(unassigned(u))
-        u += 1
-      }
+      var i = next(l)
+      while (i != l) { b += slotProfit(i); i = next(i) }
       if (b > limit) return true
-      var x = 0
-      while (x < k) {
+      var x = dimNext(k)
+      while (x != k) {
+        val head = l + 1 + x
         var cap = remCap(x).toDouble
-        var i = dimStart(x)
-        val end = dimStart(x + 1)
-        while (i < end) {
-          if (decided(boundItem(i)) == 0) {
-            val w = boundWeight(i) // > 0: the item's tightest dimension
-            if (w <= cap) { b += boundProfit(i); cap -= w }
-            else { b += boundProfit(i) * (cap / w); i = end }
-            if (b > limit) return true
-          }
-          i += 1
+        i = next(head)
+        while (i != head) {
+          val w = slotWeight(i) // > 0: the item's tightest dimension
+          if (w <= cap) { b += slotProfit(i); cap -= w; i = next(i) }
+          else { b += slotProfit(i) * (cap / w); i = head }
+          if (b > limit) return true
         }
-        x += 1
+        x = dimNext(x)
       }
       false
     }
@@ -187,18 +304,16 @@ object MkpSolver {
       if (idx == l || visited > maxNodes) return
       if (!boundExceeds(curProfit, best + 1e-9)) return
       val y = branchOrder(idx)
-      if (fits(y)) { // branch: include y
-        decided(y) = 1
-        reserve(y, 1L)
+      decide(y) // in both branches
+      if (reserve(y)) { // branch: include y
         curSel(depth) = y
         depth += 1
         rec(idx + 1, curProfit + profits(y))
         depth -= 1
-        reserve(y, -1L)
+        release(y)
       }
-      decided(y) = 2 // branch: exclude y
-      rec(idx + 1, curProfit)
-      decided(y) = 0
+      rec(idx + 1, curProfit) // branch: exclude y
+      undecide(y)
     }
 
     def run(): Result = {
@@ -206,8 +321,7 @@ object MkpSolver {
       // prune aggressively; BnB then only explores where it can improve.
       var v = 0.0
       branchOrder.foreach { y =>
-        if (fits(y)) {
-          reserve(y, 1L)
+        if (reserve(y)) {
           bestSel(bestLen) = y
           bestLen += 1
           v += profits(y)

@@ -37,9 +37,12 @@ object Plan {
     * own position when childless.
     */
   def residency(dag: Dag, order: Vector[Int]): Residency = {
+    require(order.size == dag.n, "order must be a permutation of the nodes")
     val start = Array.fill(dag.n)(-1)
-    order.zipWithIndex.foreach { case (v, k) => start(v) = k }
-    require(order.size == dag.n && !start.contains(-1), "order must be a permutation of the nodes")
+    order.zipWithIndex.foreach { case (v, k) =>
+      require(v >= 0 && v < dag.n && start(v) == -1, "order must be a permutation of the nodes")
+      start(v) = k
+    }
     val end = Array.tabulate(dag.n) { j =>
       val kids = dag.children(j)
       if (kids.isEmpty) start(j) else kids.map(start).max

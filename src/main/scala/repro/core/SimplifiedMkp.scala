@@ -16,7 +16,7 @@ object SimplifiedMkp {
     require(dag.isTopological(order), "SimplifiedMKP requires a topological order")
     val exclude = Constraints.excluded(dag, memoryBudget)
     val mkp     = instance(dag, memoryBudget, order)
-    val chosen  = MkpSolver.solve(mkp.profits, mkp.weights, mkp.capacities).map(mkp.nodes(_))
+    val chosen  = MkpSolver.searchRuns(mkp.profits, mkp.runs, mkp.capacities).selected.map(mkp.nodes(_))
 
     // Algorithm 1 line 9: nodes outside every kept constraint set and not
     // excluded are flagged for free.
@@ -27,17 +27,20 @@ object SimplifiedMkp {
 
   /** The MKP of Algorithm 1 under `order`: item y is node `nodes(y)`, one of
     * the nodes in any kept constraint set (ascending), and each kept set is
-    * one row of weights with capacity `memoryBudget`.
+    * one row with capacity `memoryBudget`. Item y weighs its node's size in
+    * the rows holding it, given as `runs(y)`: the rows follow execution
+    * order and a node is alive over one span of positions, so that is one
+    * run of consecutive rows.
     */
   private[core] final case class Instance(nodes: Vector[Int], profits: Vector[Double],
-                                          weights: Vector[Vector[Long]], capacities: Vector[Long])
+                                          runs: Vector[Vector[MkpSolver.Run]],
+                                          capacities: Vector[Long])
 
   private[core] def instance(dag: Dag, memoryBudget: Long, order: Vector[Int]): Instance = {
-    val sets = Constraints.constraintSets(dag, order, memoryBudget)
-    val vMkp = sets.flatten.distinct.sorted
-    Instance(vMkp,
-      vMkp.map(dag.speedup).toVector,
-      sets.map(s => vMkp.map(j => if (s(j)) dag.size(j) else 0L).toVector),
-      Vector.fill(sets.size)(memoryBudget))
+    val rows = Constraints.constraintRows(dag, order, memoryBudget)
+    val vMkp = (0 until dag.n).filter(j => (0 until rows.size).exists(rows.contains(_, j))).toVector
+    val runs = vMkp.map(j =>
+      MkpSolver.runs((0 until rows.size).map(r => if (rows.contains(r, j)) dag.size(j) else 0L)))
+    Instance(vMkp, vMkp.map(dag.speedup), runs, Vector.fill(rows.size)(memoryBudget))
   }
 }

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
+import repro.workload.DagGen
 
 class ConstraintsSpec extends AnyFunSuite {
 
@@ -76,6 +78,57 @@ class ConstraintsSpec extends AnyFunSuite {
           assert(sets.exists(s => flags.intersect(s).toSeq.map(d.size).sum > m),
             s"seed=$seed flags=$flags escaped all constraints")
         }
+      }
+    }
+  }
+
+  /** A topological order drawn uniformly among the ready nodes at each step. */
+  private def randomTopological(d: Dag, rnd: Random): Vector[Int] = {
+    val remaining = Array.tabulate(d.n)(d.parents(_).size)
+    val ready = scala.collection.mutable.ArrayBuffer.from((0 until d.n).filter(remaining(_) == 0))
+    val out = Vector.newBuilder[Int]
+    while (ready.nonEmpty) {
+      val v = ready.remove(rnd.nextInt(ready.size))
+      out += v
+      d.children(v).foreach { c => remaining(c) -= 1; if (remaining(c) == 0) ready += c }
+    }
+    out.result()
+  }
+
+  private def assertSameRows(what: String, d: Dag, order: Vector[Int], budgets: Seq[Long]): Unit = {
+    assert(d.isTopological(order), what)
+    assert(Constraints.aliveSets(d, order, Set.empty) ==
+      ReferenceConstraints.aliveSets(d, order, Set.empty), s"$what: alive sets")
+    budgets.foreach { m =>
+      assert(Constraints.constraintSets(d, order, m) ==
+        ReferenceConstraints.constraintSets(d, order, m), s"$what at $m: rows")
+    }
+  }
+
+  private def orders(d: Dag, rnd: Random): Seq[(String, Vector[Int])] = {
+    val flags = (0 until d.n).filter(_ => rnd.nextInt(3) == 0).toSet
+    Seq("topological" -> d.topological, "random" -> randomTopological(d, rnd),
+      "random" -> randomTopological(d, rnd), "MA-DFS" -> MaDfs.order(d, flags))
+  }
+
+  test("bitset rows equal the reference rows, in order") {
+    (0 until 60).foreach { seed =>
+      val rnd = new Random(seed)
+      val d = BruteForce.randomDag(4 + rnd.nextInt(70), seed)
+      orders(d, rnd).foreach { case (kind, o) =>
+        assertSameRows(s"random dag $seed, $kind order", d, o, Seq(1L, 60L, 120L, 300L, 1000L, 10000L))
+      }
+    }
+    val GB = 1L << 30
+    for {
+      n <- Seq(25, 100)
+      s <- 0 until 10
+    } {
+      val d = DagGen.generate(DagGen.Params(n, seed = s)).dag
+      val rnd = new Random(s)
+      val sc = MaDfs.order(d, SimplifiedMkp.solve(d, 4 * GB, d.topological))
+      (("S/C MA-DFS" -> sc) +: orders(d, rnd)).foreach { case (kind, o) =>
+        assertSameRows(s"DagGen $n/$s, $kind order", d, o, Seq(1 * GB, 4 * GB, 16 * GB))
       }
     }
   }

@@ -31,6 +31,10 @@ class DagSpec extends AnyFunSuite {
   test("isTopological rejects permutations violating edges") {
     assert(!diamond.isTopological(Vector(1, 0, 2, 3)))
     assert(!diamond.isTopological(Vector(0, 1, 3, 2)))
+    assert(!diamond.isTopological(Vector(0, 1, 1, 3))) // duplicate
+    assert(!diamond.isTopological(Vector(0, 2, 1)))    // missing
+    assert(!diamond.isTopological(Vector(0, 1, 2, 4))) // out of range
+    assert(!diamond.isTopological(Vector(-1, 0, 1, 2)))
   }
 
   test("isTopological rejects non-permutations") {

@@ -126,6 +126,20 @@ class MkpSolverSpec extends AnyFunSuite {
       MkpSolver.solve(Vector(1.0), Vector(Vector(1L)), Vector(-1L)))
   }
 
+  test("rejects malformed runs") {
+    import MkpSolver.Run
+    def runs(rs: Run*) = MkpSolver.searchRuns(Vector(1.0), Vector(rs.toVector), Vector(5L, 5L, 5L))
+    assert(runs(Run(0, 0, 1L), Run(1, 2, 3L)).selected == Set(0))
+    assertThrows[IllegalArgumentException](runs(Run(0, 1, 0L)))
+    assertThrows[IllegalArgumentException](runs(Run(1, 0, 1L)))
+    assertThrows[IllegalArgumentException](runs(Run(0, 3, 1L)))
+    assertThrows[IllegalArgumentException](runs(Run(-1, 0, 1L)))
+    assertThrows[IllegalArgumentException](runs(Run(0, 1, 1L), Run(1, 2, 1L)))
+    assertThrows[IllegalArgumentException](runs(Run(2, 2, 1L), Run(0, 0, 1L)))
+    assertThrows[IllegalArgumentException](
+      MkpSolver.searchRuns(Vector(1.0, 2.0), Vector(Vector.empty), Vector(5L)))
+  }
+
   // Differential tests: the optimized search must visit exactly the nodes
   // the seed solver visits and return its selection, also when the node cap
   // cuts the search short.
@@ -154,15 +168,32 @@ class MkpSolverSpec extends AnyFunSuite {
     }
   }
 
+  /** The instance's runs as dense k×l weights, the form the reference takes. */
+  private def dense(mkp: SimplifiedMkp.Instance): Vector[Vector[Long]] =
+    Vector.tabulate(mkp.capacities.size, mkp.nodes.size) { (x, y) =>
+      mkp.runs(y).find(r => r.first <= x && x <= r.last).fold(0L)(_.weight)
+    }
+
   test("search equals the reference solver on DagGen alive-set instances") {
     val GB = 1L << 30
     for {
       s <- 0 until 50
       d = DagGen.generate(DagGen.Params(100, seed = s)).dag
       m <- Seq(1 * GB, 4 * GB, 16 * GB)
+      (kind, order) <- Seq("topological" -> d.topological,
+        "MA-DFS" -> MaDfs.order(d, SimplifiedMkp.solve(d, m, d.topological)))
     } {
-      val mkp = SimplifiedMkp.instance(d, m, d.topological)
-      assertSameSearch(s"dag $s at ${m / GB} GB", mkp.profits, mkp.weights, mkp.capacities)
+      val mkp = SimplifiedMkp.instance(d, m, order)
+      val weights = dense(mkp)
+      val sets = ReferenceConstraints.constraintSets(d, order, m)
+      assert(mkp.nodes == sets.flatten.distinct.sorted, s"dag $s: items")
+      assert(weights == sets.map(row => mkp.nodes.map(j => if (row(j)) d.size(j) else 0L)),
+        s"dag $s: weights")
+      assertSameSearch(s"dag $s at ${m / GB} GB, $kind order", mkp.profits, weights, mkp.capacities)
+      caps.foreach { cap =>
+        assert(MkpSolver.searchRuns(mkp.profits, mkp.runs, mkp.capacities, cap) ==
+          MkpSolver.search(mkp.profits, weights, mkp.capacities, cap), s"dag $s, cap $cap: runs")
+      }
     }
   }
 }

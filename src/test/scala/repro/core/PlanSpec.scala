@@ -32,6 +32,8 @@ class PlanSpec extends AnyFunSuite {
   test("residency requires a permutation of the nodes") {
     assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 1, 2)))
     assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 0, 2, 3, 4, 5)))
+    assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 1, 2, 3, 4, 9)))
+    assertThrows[IllegalArgumentException](Plan.residency(dag, Vector(0, 1, 2, 3, 4, -1)))
   }
 
   test("usageTimeline and peak") {
