@@ -5,7 +5,8 @@ import java.util.concurrent.Executors
 import scala.collection.mutable
 import scala.concurrent.duration.Duration
 import scala.concurrent.{Await, ExecutionContext, Future}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.core.Plan
 import repro.workload.{Dataset, TpcDsLite, Workload}
 
@@ -48,6 +49,11 @@ final case class RunReport(workload: String, dataset: String, method: String,
   * the Memory Catalog and materialized to storage on a background thread in
   * parallel with downstream execution; unflagged nodes materialize on the
   * critical path. The run ends when all MVs are materialized on storage.
+  *
+  * The Memory Catalog is the set of memory-persisted flagged outputs. Its
+  * occupancy is the plan's [[Plan.residency]] under the calibrated sizes —
+  * the same numbers the optimizer reasoned with — so a plan whose peak
+  * exceeds the budget is rejected before any MV runs.
   */
 final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
@@ -64,21 +70,26 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     */
   def run(workload: Workload, plan: Plan, sizes: Map[String, Long],
           method: String = "sc"): RunReport = {
-    val dag = workload.structuralDag
-    require(dag.isTopological(plan.order), "plan order must be a topological order of the MVs")
     require(plan.flagged.forall(i => sizes.contains(workload.mvs(i).name)),
       "flagged nodes need calibrated sizes")
+    val dag = {
+      val sdag = workload.structuralDag
+      sdag.copy(nodes = sdag.nodes.map(nd => nd.copy(sizeBytes = sizes.getOrElse(nd.name, 0L))))
+    }
+    require(Plan.isFeasible(dag, plan, cfg.memoryCatalogBytes),
+      "plan order must be a topological order of the MVs whose Memory Catalog peak " +
+        s"fits ${cfg.memoryCatalogBytes} B")
     Files.createDirectories(cfg.outDir)
     TpcDsLite.registerViews(spark, dataset)
 
-    val catalog = new MemoryCatalog(cfg.memoryCatalogBytes)
     // One materialization channel, as in § III-C / Fig 6: flagged outputs
     // are written to storage one at a time, in parallel with downstream
     // execution (the timeline simulator models the same single channel).
     val writePool = Executors.newFixedThreadPool(1)
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
     val bgWrites = mutable.Map.empty[String, Future[Double]]
-    val released = mutable.Buffer.empty[org.apache.spark.sql.DataFrame]
+    val resident = mutable.Map.empty[String, DataFrame] // the Memory Catalog
+    val persisted = mutable.Buffer.empty[DataFrame]
     val views = mutable.Set.empty[String] // parent MV temp views registered
     // A flagged node leaves the catalog right after the position where its
     // residency ends (§ III-C): its last child, or itself when childless.
@@ -99,8 +110,8 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         var parentRead = 0.0
         mv.parents.foreach { p =>
           views += p
-          if (catalog.contains(p)) {
-            catalog.dataFrame(p).createOrReplaceTempView(p)
+          if (resident.contains(p)) {
+            resident(p).createOrReplaceTempView(p)
           } else {
             spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
             parentRead += nfs.readMs(sizes.getOrElse(p, TpcDsLite.dirBytes(mvPath(p))))
@@ -116,8 +127,12 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         var outBytes = 0L
         val tExec0 = System.nanoTime()
         if (flagged) {
+          // Create in the Memory Catalog. Registered before the persist, so
+          // the finally unpersists it even when the count fails.
           val df = spark.sql(sql)
-          catalog.put(mv.name, df, sizes(mv.name)) // create in Memory Catalog
+          persisted += df
+          df.persist(StorageLevel.MEMORY_ONLY).count()
+          resident(mv.name) = df
           outBytes = sizes(mv.name)
           val execMs = (System.nanoTime() - tExec0) / 1e6
           computeTotal += execMs
@@ -143,8 +158,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         // The physical unpersist waits for the background materialization.
         releaseAfter.getOrElse(k, Nil).foreach { j =>
           val name = workload.mvs(j).name
-          val df = catalog.release(name)
-          released += df // unpersist is idempotent; finally-block backstop
+          val df = resident.remove(name).get
           bgWrites(name).onComplete(_ => df.unpersist(false))
         }
       }
@@ -153,12 +167,11 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
       val endToEnd = (System.nanoTime() - t0) / 1e6
       RunReport(workload.key, dataset.name, method, endToEnd, readTotal, computeTotal,
-        writeFgTotal, bgDelays.sum, catalog.peakBytes, nodeReports.result())
+        writeFgTotal, bgDelays.sum, Plan.peakMemoryUsage(dag, plan), nodeReports.result())
     } finally {
       // On failure too, no background write may outlive the run.
       bgWrites.values.foreach(Await.ready(_, Duration.Inf))
-      released.foreach(_.unpersist(false))
-      catalog.clear()
+      persisted.foreach(_.unpersist(false)) // idempotent after a release
       writePool.shutdown()
       // The views point at unpersisted DataFrames or at output a later run
       // may delete; none may outlive the run.

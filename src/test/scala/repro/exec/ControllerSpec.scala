@@ -1,7 +1,13 @@
 package repro.exec
 
 import java.nio.file.Files
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
 import org.apache.spark.sql.AnalysisException
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.datasources.InsertIntoHadoopFsRelationCommand
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.core.{AlternatingOpt, Plan}
 import repro.workload.{Metadata, MvSpec, TestData, Workload, Workloads}
@@ -85,19 +91,58 @@ class ControllerSpec extends SparkSpec {
     assert(r.plan.flagged.nonEmpty)
   }
 
-  test("an infeasible plan fails loudly instead of exceeding the budget") {
+  test("an infeasible plan is rejected before any MV runs") {
     val (calReport, _) = baseline
     val sizes = calReport.sizes
-    val big = w.structuralDag.topological
-    val twoLargest = sizes.toSeq.sortBy(-_._2).take(2).map(_._1)
-    val flagged = twoLargest.map(w.index).toSet
-    // Budget fits one of the two, not both: flag both under an order that
-    // keeps them alive together.
-    val budget = sizes(twoLargest.head)
-    val plan = Plan(big, flagged)
-    val ctrl = new Controller(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("inf")))
-    if (repro.core.Plan.peakMemoryUsage(Metadata.dag(w, sizes, NfsModel(1, 1, 0)), plan) > budget)
-      assertThrows[IllegalArgumentException](ctrl.run(w, plan, sizes))
+    // The extract and its child are resident together at the child's
+    // position; the budget fits either one alone.
+    val extract = w.index("io2_store_extract")
+    val child = w.structuralDag.children(extract).head
+    val plan = Plan(w.structuralDag.topological, Set(extract, child))
+    val budget = math.max(sizes(w.mvs(extract).name), sizes(w.mvs(child).name))
+    assert(Plan.peakMemoryUsage(Metadata.dag(w, sizes, NfsModel(1, 1, 0)), plan) > budget)
+    val out = TestData.freshOutDir("inf")
+    intercept[IllegalArgumentException](
+      new Controller(spark, ds, ExecConfig(budget, None, out)).run(w, plan, sizes))
+    w.mvs.foreach(mv => assert(!Files.exists(out.resolve(mv.name)), s"${mv.name} was refreshed"))
+  }
+
+  test("unflagged nodes scan an in-memory relation exactly when a parent is flagged") {
+    val (calReport, _) = baseline
+    val sizes = calReport.sizes
+    val dag = Metadata.dag(w, sizes, NfsModel(1e9, 1e9, 0))
+    // A budget that admits only part of the nodes.
+    val budget = sizes.values.toSeq.sorted.apply(sizes.size / 2) * 2
+    val plan = AlternatingOpt.solve(dag, budget).plan
+    val out = TestData.freshOutDir("inmem")
+    // Output directory of each write → whether its executed plan scans a
+    // cached relation.
+    val scans = new ConcurrentHashMap[String, Boolean]()
+    val sentinel = new CountDownLatch(1)
+    object Aqe extends AdaptiveSparkPlanHelper
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = qe.analyzed match {
+        case cmd: InsertIntoHadoopFsRelationCommand =>
+          scans.put(cmd.outputPath.toUri.getPath,
+            Aqe.find(qe.executedPlan)(_.isInstanceOf[InMemoryTableScanExec]).isDefined)
+        case _ => if (funcName == "collect") sentinel.countDown()
+      }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      new Controller(spark, ds, ExecConfig(budget, None, out)).run(w, plan, sizes)
+      // Listener events arrive in order; a sentinel action marks the end.
+      spark.range(1).collect()
+      assert(sentinel.await(30, TimeUnit.SECONDS), "listener saw no events")
+    } finally spark.listenerManager.unregister(listener)
+    val unflagged = w.mvs.indices.filterNot(plan.flagged)
+    val hasFlaggedParent = unflagged.map(i => i -> dag.parents(i).exists(plan.flagged)).toMap
+    assert(hasFlaggedParent.values.toSet == Set(true, false), "plan covers only one case")
+    unflagged.foreach { i =>
+      val name = w.mvs(i).name
+      assert(Option(scans.get(out.resolve(name).toString)) == Some(hasFlaggedParent(i)), name)
+    }
   }
 
   test("a non-topological order is rejected before any MV runs") {
@@ -182,6 +227,17 @@ class ControllerSpec extends SparkSpec {
     assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
     assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
     assert(mvViews(faulty).isEmpty, "MV temp views left behind")
+
+    // A flagged node's own statement fails while its entry is created.
+    val failing = Workload("fault2", "fault injection", "", Vector(
+      MvSpec("fault_c", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim",
+        baseTables = Vector("date_dim"))))
+    val e = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+      .run(failing, Plan(Vector(0), Set(0)), Map("fault_c" -> 1L)))
+    assert(e.getMessage.contains("is not true"), e.getMessage)
+    assert(spark.sharedState.cacheManager.isEmpty)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(mvViews(failing).isEmpty, "MV temp views left behind")
   }
 
   test("a finished run leaves no MV temp views behind") {
