@@ -35,7 +35,7 @@ object AlternatingOpt {
     while (!stop && iter < maxIterations) {
       iter += 1
       val flaggedNew = solvers.nodes(dag, memoryBudget, order)
-      if (flaggedNew.toSeq.map(dag.speedup).sum <= flagged.toSeq.map(dag.speedup).sum) {
+      if (Plan(order, flaggedNew).totalSpeedup(dag) <= Plan(order, flagged).totalSpeedup(dag)) {
         stop = true // line 5: no improvement — return current (U, τ)
       } else {
         flagged = flaggedNew

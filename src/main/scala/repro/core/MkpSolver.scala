@@ -24,155 +24,93 @@ object MkpSolver {
     */
   final case class Result(selected: Set[Int], searchNodes: Long, provenOptimal: Boolean)
 
-  /** Solve max Σ x_y·profits(y) s.t. ∀x: Σ x_y·weights(x)(y) ≤ capacities(x).
+  /** Solve max Σ x_y·profits(y) s.t. for every row x in [0, rows):
+    * Σ x_y·weights(y) over the items y with first(y) ≤ x ≤ last(y) is at
+    * most `capacity`. Item y weighs `weights(y)` in each row of its interval
+    * and nothing elsewhere, and every row has the same capacity: S/C Opt
+    * Nodes under a fixed order (see [[SimplifiedMkp]]).
     *
-    * @param profits    per-item profit (≥ 0)
-    * @param weights    weights(dim)(item) ≥ 0; `weights.size` dimensions
-    * @param capacities capacity per dimension (≥ 0)
-    * @param maxNodes   search-node budget; within it the result is exactly
-    *                   optimal, beyond it the best incumbent is returned
-    *                   ([[search]] tells which)
-    *                   (anytime behavior — adversarial instances are
-    *                   worst-case exponential for any BnB, incl. the
-    *                   paper's OR-Tools solver)
-    * @return indices (into `profits`) of the selected items
+    * @param profits  per-item profit (≥ 0)
+    * @param first    per-item first row, in [0, rows)
+    * @param last     per-item last row, in [first(y), rows)
+    * @param weights  per-item weight (≥ 0) in each row of its interval
+    * @param capacity capacity of every row (≥ 0)
+    * @param rows     number of rows
+    * @param maxNodes search-node budget; within it the result is exactly
+    *                 optimal, beyond it the best incumbent is returned
+    *                 (anytime behavior — adversarial instances are
+    *                 worst-case exponential for any BnB, incl. the
+    *                 paper's OR-Tools solver)
     */
-  def solve(profits: Vector[Double], weights: Vector[Vector[Long]], capacities: Vector[Long],
-            maxNodes: Long = 200_000L): Set[Int] =
-    search(profits, weights, capacities, maxNodes).selected
-
-  /** [[solve]], also reporting the search size and whether it finished. */
-  def search(profits: Vector[Double], weights: Vector[Vector[Long]], capacities: Vector[Long],
+  def search(profits: IndexedSeq[Double], first: IndexedSeq[Int], last: IndexedSeq[Int],
+             weights: IndexedSeq[Long], capacity: Long, rows: Int,
              maxNodes: Long = 200_000L): Result = {
     val l = profits.size
-    require(weights.forall(_.size == l), "weight rows must match item count")
-    require(capacities.size == weights.size, "one capacity per dimension")
-    require(weights.forall(_.forall(_ >= 0)), "weights must be non-negative")
-    searchRuns(profits, Vector.tabulate(l)(y => runs(weights.map(_(y)))), capacities, maxNodes)
-  }
-
-  /** A run of one item's weights: `weight` (> 0) in every dimension of
-    * [first, last].
-    */
-  private[core] final case class Run(first: Int, last: Int, weight: Long)
-
-  /** One item's positive weights, per dimension, as maximal runs of
-    * consecutive dimensions with equal weight.
-    */
-  private[core] def runs(column: IndexedSeq[Long]): Vector[Run] = {
-    val out = Vector.newBuilder[Run]
-    var x = 0
-    while (x < column.size) {
-      val w = column(x)
-      var last = x
-      while (last + 1 < column.size && column(last + 1) == w) last += 1
-      if (w != 0) out += Run(x, last, w)
-      x = last + 1
-    }
-    out.result()
-  }
-
-  /** [[search]] with item y's weights given as `runs(y)`, ascending disjoint
-    * runs of dimensions in [0, capacities.size); dimensions outside them
-    * weigh 0. The same search on the same instance as [[search]] on its
-    * dense k×l weights, for alive-set rows one run per item.
-    */
-  private[core] def searchRuns(profits: Vector[Double], runs: Vector[Vector[Run]],
-                               capacities: Vector[Long], maxNodes: Long = 200_000L): Result = {
-    val l = profits.size
-    val k = capacities.size
-    require(runs.size == l, "one run list per item")
+    require(first.size == l && last.size == l && weights.size == l, "one interval per item")
     require(profits.forall(_ >= 0), "profits must be non-negative")
-    require(capacities.forall(_ >= 0), "capacities must be non-negative")
-    require(runs.forall(rs => rs.forall(r => r.weight > 0 && r.first >= 0 && r.first <= r.last) &&
-      rs.lazyZip(rs.drop(1)).forall(_.last < _.first) && rs.lastOption.forall(_.last < k)),
-      "runs must be positive, ascending, disjoint and within the dimensions")
+    require(weights.forall(_ >= 0), "weights must be non-negative")
+    require(capacity >= 0 && rows >= 0, "capacity and row count must be non-negative")
+    require((0 until l).forall(y => 0 <= first(y) && first(y) <= last(y) && last(y) < rows),
+      "intervals must be non-empty and within the rows")
     if (l == 0) return Result(Set.empty, 0L, provenOptimal = true)
-    // Unconstrained: take everything.
-    if (k == 0) return Result(profits.indices.toSet, 0L, provenOptimal = true)
-    val flat = runs.flatten
-    new Search(profits.toArray, runs.scanLeft(0)(_ + _.size).toArray, flat.map(_.first).toArray,
-      flat.map(_.last).toArray, flat.map(_.weight).toArray, capacities.toArray, maxNodes).run()
+    new Search(profits.toArray, first.toArray, last.toArray, weights.toArray, capacity, rows,
+      maxNodes).run()
   }
 
-  /** One branch-and-bound search. Its state lives in fields (not in locals
-    * captured by closures) so the per-node loops touch plain arrays.
+  /** One branch-and-bound search over `k` rows. Its state lives in fields
+    * (not in locals captured by closures) so the per-node loops touch plain
+    * arrays.
     *
-    * Item y's runs are [runStart(y), runStart(y + 1)) of runFirst, runLast
-    * and runWeight; reserving or returning the item touches exactly the
-    * `remCap` slices of its runs. The bound's undecided items sit in one
-    * circular doubly linked list per dimension (dancing links): deciding an
-    * item unlinks its slot and undoing the decision relinks it, so the bound
-    * walks only undecided items, in their fixed order.
+    * Reserving or returning item y touches exactly the `remCap` slice
+    * [first(y), last(y)]. The bound's undecided items sit in one circular
+    * doubly linked list per row (dancing links): deciding an item unlinks
+    * its slot and undoing the decision relinks it, so the bound walks only
+    * undecided items, in their fixed order.
     */
-  private final class Search(profits: Array[Double], runStart: Array[Int], runFirst: Array[Int],
-                             runLast: Array[Int], runWeight: Array[Long],
-                             capacities: Array[Long], maxNodes: Long) {
+  private final class Search(profits: Array[Double], first: Array[Int], last: Array[Int],
+                             weights: Array[Long], capacity: Long, k: Int, maxNodes: Long) {
     private val l = profits.length
-    private val k = capacities.length
-
-    private def normalized(r: Int, x: Int): Double =
-      runWeight(r).toDouble / math.max(1L, capacities(x))
 
     // Branch on items in descending profit density (profit per average
-    // normalized weight); dense items first makes the greedy incumbent
-    // strong and the bound tight early. Zero weights add nothing to the
-    // sum, so summing the runs' dimensions in ascending order gives the
-    // dense sum exactly.
+    // normalized weight over the k rows); dense items first makes the
+    // greedy incumbent strong and the bound tight early. The normalized
+    // weight is summed row by row, in ascending order: rows outside the
+    // interval add nothing, so this rounds like the sum over all k rows;
+    // a closed form len·w/M can round differently and reorder ties.
     private val branchOrder: Array[Int] = {
       val density = Array.tabulate(l) { y =>
+        val normalized = weights(y).toDouble / math.max(1L, capacity)
         var w = 0.0
-        var r = runStart(y)
-        while (r < runStart(y + 1)) {
-          var x = runFirst(r)
-          while (x <= runLast(r)) { w += normalized(r, x); x += 1 }
-          r += 1
-        }
+        var x = first(y)
+        while (x <= last(y)) { w += normalized; x += 1 }
         profits(y) / (w / k + 1e-12)
       }
       (0 until l).sortBy(y => -density(y)).toArray
     }
 
-    // Partition bound: assign each item to its tightest dimension (highest
-    // normalized weight, the first one on ties). Any feasible completion
-    // satisfies that dimension's constraint restricted to its assigned
-    // items, so the sum over dimensions of single-constraint fractional
-    // relaxations — plus the full profit of items with no positive weight
-    // anywhere — is an upper bound. Far tighter than min-over-dims on
-    // sparse alive-set rows. `assignedRun` is the run holding that dimension.
-    private val (assignedDim, assignedRun) = {
-      val dim = Array.fill(l)(-1)
-      val run = Array.fill(l)(-1)
-      (0 until l).foreach { y =>
-        var max = 0.0
-        var r = runStart(y)
-        while (r < runStart(y + 1)) {
-          var x = runFirst(r)
-          while (x <= runLast(r)) {
-            val w = normalized(r, x)
-            if (w > max) { max = w; dim(y) = x; run(y) = r }
-            x += 1
-          }
-          r += 1
-        }
-      }
-      (dim, run)
-    }
+    // Partition bound: assign each item to its tightest row (highest
+    // normalized weight, the first one on ties); all rows have the same
+    // capacity, so that is its first row, or none when it weighs nothing.
+    // Any feasible completion satisfies that row's constraint restricted to
+    // its assigned items, so the sum over rows of single-constraint
+    // fractional relaxations — plus the full profit of weightless items —
+    // is an upper bound. Far tighter than min-over-rows on sparse alive-set
+    // rows.
+    private val assignedDim: Array[Int] = Array.tabulate(l)(y => if (weights(y) > 0) first(y) else -1)
 
     // Bound slots, one per item, laid out in segments: segment 0 holds the
     // weightless items in ascending order, segment 1 + x the items assigned
-    // to dimension x by descending profit/weight. Node l + s heads segment
-    // s's circular list; next/prev link its undecided slots in layout order.
+    // to row x by descending profit/weight. Node l + s heads segment s's
+    // circular list; next/prev link its undecided slots in layout order.
     private val (slotOf, slotWeight, slotProfit, segmentStart) = {
       val segments = (0 until l).filter(assignedDim(_) == -1) +: Array.tabulate(k) { x =>
-        (0 until l).filter(assignedDim(_) == x)
-          .sortBy(y => -(profits(y) / math.max(1L, runWeight(assignedRun(y)))))
+        (0 until l).filter(assignedDim(_) == x).sortBy(y => -(profits(y) / math.max(1L, weights(y))))
       }
       val items = segments.flatten
       val slotOf = new Array[Int](l)
       items.indices.foreach(i => slotOf(items(i)) = i)
-      (slotOf, items.map(y => if (assignedRun(y) < 0) 0.0 else runWeight(assignedRun(y)).toDouble).toArray,
-        items.map(profits).toArray, segments.scanLeft(0)(_ + _.size))
+      (slotOf, items.map(weights(_).toDouble).toArray, items.map(profits).toArray,
+        segments.scanLeft(0)(_ + _.size))
     }
     private val next = new Array[Int](l + k + 1)
     private val prev = new Array[Int](l + k + 1)
@@ -187,10 +125,10 @@ object MkpSolver {
 
     /** Links `members`, in order, into the circular list headed by `head`. */
     private def link(next: Array[Int], prev: Array[Int], head: Int, members: Seq[Int]): Unit = {
-      var last = head
-      members.foreach { i => next(last) = i; prev(i) = last; last = i }
-      next(last) = head
-      prev(head) = last
+      var tail = head
+      members.foreach { i => next(tail) = i; prev(i) = tail; tail = i }
+      next(tail) = head
+      prev(head) = tail
     }
 
     private def unlink(next: Array[Int], prev: Array[Int], i: Int): Unit = {
@@ -220,7 +158,7 @@ object MkpSolver {
       relink(next, prev, slotOf(y))
     }
 
-    private val remCap  = capacities.clone()
+    private val remCap  = Array.fill(k)(capacity)
     private val curSel  = new Array[Int](l)
     private var depth   = 0
     private val bestSel = new Array[Int](l)
@@ -228,43 +166,29 @@ object MkpSolver {
     private var best    = -1.0
     private var visited = 0L
 
-    /** Reserves item y's weights if they fit every remaining capacity, in one
-      * pass over its runs; if they do not, returns what the pass already
-      * reserved and reports false.
+    /** Reserves item y's weight in every row of its interval if it fits
+      * each remaining capacity, in one pass; if it does not, returns what
+      * the pass already reserved and reports false.
       */
     private def reserve(y: Int): Boolean = {
-      var r = runStart(y)
-      val end = runStart(y + 1)
-      while (r < end) {
-        val w = runWeight(r)
-        var x = runFirst(r)
-        val last = runLast(r)
-        while (x <= last) {
-          if (w > remCap(x)) {
-            while (x > runFirst(r)) { x -= 1; remCap(x) += w }
-            while (r > runStart(y)) { r -= 1; give(r) }
-            return false
-          }
-          remCap(x) -= w
-          x += 1
+      val w = weights(y)
+      var x = first(y)
+      while (x <= last(y)) {
+        if (w > remCap(x)) {
+          while (x > first(y)) { x -= 1; remCap(x) += w }
+          return false
         }
-        r += 1
+        remCap(x) -= w
+        x += 1
       }
       true
     }
 
-    private def give(r: Int): Unit = {
-      val w = runWeight(r)
-      var x = runFirst(r)
-      val last = runLast(r)
-      while (x <= last) { remCap(x) += w; x += 1 }
-    }
-
-    /** Returns item y's reserved weights. */
+    /** Returns item y's reserved weight. */
     private def release(y: Int): Unit = {
-      var r = runStart(y)
-      val end = runStart(y + 1)
-      while (r < end) { give(r); r += 1 }
+      val w = weights(y)
+      var x = first(y)
+      while (x <= last(y)) { remCap(x) += w; x += 1 }
     }
 
     /** Whether the partition bound over undecided items (see above) exceeds
@@ -328,7 +252,7 @@ object MkpSolver {
         }
       }
       best = v
-      System.arraycopy(capacities, 0, remCap, 0, k)
+      java.util.Arrays.fill(remCap, capacity)
 
       rec(0, 0.0)
       Result(bestSel.take(bestLen).toSet, visited, provenOptimal = visited <= maxNodes)

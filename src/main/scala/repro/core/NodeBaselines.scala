@@ -5,20 +5,21 @@ import scala.util.Random
 /** Baseline flag-selection methods for S/C Opt Nodes (§ VI-A).
   *
   * Each iterates over candidate nodes in some priority order and flags a
-  * node iff doing so keeps the plan feasible (peak Memory-Catalog usage ≤
-  * budget under the given execution order).
+  * node iff it is not in V_exclude ([[Constraints.excluded]]) and flagging
+  * it keeps the plan feasible (peak Memory-Catalog usage ≤ budget under the
+  * given execution order).
   */
 object NodeBaselines {
 
   private def selectBy(dag: Dag, memoryBudget: Long, order: Vector[Int],
                        visit: Seq[Int]): Set[Int] = {
     val r = Plan.residency(dag, order)
+    val exclude = Constraints.excluded(dag, memoryBudget)
     val usage = new Array[Long](dag.n) // bytes held at each position so far
     var flagged = Set.empty[Int]
     visit.foreach { i =>
       val s = dag.size(i)
-      if (s <= memoryBudget && dag.speedup(i) > 0 &&
-          r.span(i).forall(k => usage(k) + s <= memoryBudget)) {
+      if (!exclude(i) && r.span(i).forall(k => usage(k) + s <= memoryBudget)) {
         r.span(i).foreach(k => usage(k) += s)
         flagged += i
       }

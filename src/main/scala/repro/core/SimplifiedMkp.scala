@@ -16,7 +16,8 @@ object SimplifiedMkp {
     require(dag.isTopological(order), "SimplifiedMKP requires a topological order")
     val exclude = Constraints.excluded(dag, memoryBudget)
     val mkp     = instance(dag, memoryBudget, order)
-    val chosen  = MkpSolver.searchRuns(mkp.profits, mkp.runs, mkp.capacities).selected.map(mkp.nodes(_))
+    val chosen  = MkpSolver.search(mkp.profits, mkp.first, mkp.last, mkp.weights, memoryBudget,
+      mkp.rows).selected.map(mkp.nodes(_))
 
     // Algorithm 1 line 9: nodes outside every kept constraint set and not
     // excluded are flagged for free.
@@ -26,21 +27,20 @@ object SimplifiedMkp {
   }
 
   /** The MKP of Algorithm 1 under `order`: item y is node `nodes(y)`, one of
-    * the nodes in any kept constraint set (ascending), and each kept set is
-    * one row with capacity `memoryBudget`. Item y weighs its node's size in
-    * the rows holding it, given as `runs(y)`: the rows follow execution
-    * order and a node is alive over one span of positions, so that is one
-    * run of consecutive rows.
+    * the nodes in any kept constraint set (ascending), and each of the
+    * `rows` kept sets is one row with capacity `memoryBudget`. Item y weighs
+    * its node's size, `weights(y)`, in rows [first(y), last(y)] and nothing
+    * elsewhere: the rows follow execution order and a node is alive over
+    * one span of positions.
     */
   private[core] final case class Instance(nodes: Vector[Int], profits: Vector[Double],
-                                          runs: Vector[Vector[MkpSolver.Run]],
-                                          capacities: Vector[Long])
+                                          first: Vector[Int], last: Vector[Int],
+                                          weights: Vector[Long], rows: Int)
 
   private[core] def instance(dag: Dag, memoryBudget: Long, order: Vector[Int]): Instance = {
-    val rows = Constraints.constraintRows(dag, order, memoryBudget)
-    val vMkp = (0 until dag.n).filter(j => (0 until rows.size).exists(rows.contains(_, j))).toVector
-    val runs = vMkp.map(j =>
-      MkpSolver.runs((0 until rows.size).map(r => if (rows.contains(r, j)) dag.size(j) else 0L)))
-    Instance(vMkp, vMkp.map(dag.speedup), runs, Vector.fill(rows.size)(memoryBudget))
+    val (rows, rowsOf) = Constraints.constraintRows(dag, order, memoryBudget)
+    val nodes = rowsOf.indices.filter(rowsOf(_).nonEmpty).toVector
+    Instance(nodes, nodes.map(dag.speedup), nodes.map(rowsOf(_).start), nodes.map(rowsOf(_).last),
+      nodes.map(dag.size), rows)
   }
 }

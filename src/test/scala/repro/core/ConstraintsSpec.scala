@@ -26,7 +26,7 @@ class ConstraintsSpec extends AnyFunSuite {
     (dag +: (0 until 10).map(BruteForce.randomDag(8, _))).foreach { d =>
       val order = d.topological
       val pos = order.zipWithIndex.toMap
-      val sets = Constraints.aliveSets(d, order, Set.empty)
+      val sets = ReferenceConstraints.aliveSets(d, order, Set.empty)
       (0 until d.n).foreach { k =>
         val expected = (0 until d.n).filter { j =>
           pos(j) <= k && k <= (d.children(j).map(pos) :+ pos(j)).max
@@ -37,7 +37,7 @@ class ConstraintsSpec extends AnyFunSuite {
   }
 
   test("alive sets honor exclusion") {
-    val sets = Constraints.aliveSets(dag, idOrder, Set(0))
+    val sets = ReferenceConstraints.aliveSets(dag, idOrder, Set(0))
     assert(sets.forall(!_.contains(0)))
   }
 
@@ -95,14 +95,31 @@ class ConstraintsSpec extends AnyFunSuite {
     out.result()
   }
 
+  /** The rows, and each MKP item's interval of rows, equal the reference's. */
   private def assertSameRows(what: String, d: Dag, order: Vector[Int], budgets: Seq[Long]): Unit = {
     assert(d.isTopological(order), what)
-    assert(Constraints.aliveSets(d, order, Set.empty) ==
-      ReferenceConstraints.aliveSets(d, order, Set.empty), s"$what: alive sets")
     budgets.foreach { m =>
-      assert(Constraints.constraintSets(d, order, m) ==
-        ReferenceConstraints.constraintSets(d, order, m), s"$what at $m: rows")
+      val ref = ReferenceConstraints.constraintSets(d, order, m)
+      assert(Constraints.constraintSets(d, order, m) == ref, s"$what at $m: rows")
+      val mkp = SimplifiedMkp.instance(d, m, order)
+      assert(mkp.rows == ref.size, s"$what at $m: row count")
+      assert(mkp.nodes == ref.flatten.distinct.sorted, s"$what at $m: items")
+      mkp.nodes.indices.foreach { y =>
+        assert((mkp.first(y) to mkp.last(y)) == ref.indices.filter(ref(_)(mkp.nodes(y))),
+          s"$what at $m: rows of node ${mkp.nodes(y)}")
+      }
     }
+  }
+
+  /** `BruteForce.randomDag` with about a quarter of the sizes and a quarter
+    * of the scores set to 0: size-0 candidates and zero-score (excluded)
+    * nodes, which `randomDag` draws rarely or never.
+    */
+  private def dagWithZeros(n: Int, seed: Long): Dag = {
+    val d = BruteForce.randomDag(n, seed)
+    val rnd = new Random(~seed)
+    Dag.of((0 until n).map(i => if (rnd.nextInt(4) == 0) 0L else d.size(i)),
+      (0 until n).map(i => if (rnd.nextInt(4) == 0) 0.0 else d.speedup(i)), d.edges)
   }
 
   private def orders(d: Dag, rnd: Random): Seq[(String, Vector[Int])] = {
@@ -111,13 +128,16 @@ class ConstraintsSpec extends AnyFunSuite {
       "random" -> randomTopological(d, rnd), "MA-DFS" -> MaDfs.order(d, flags))
   }
 
-  test("bitset rows equal the reference rows, in order") {
+  test("interval rows equal the reference rows, in order") {
     (0 until 60).foreach { seed =>
       val rnd = new Random(seed)
-      val d = BruteForce.randomDag(4 + rnd.nextInt(70), seed)
-      orders(d, rnd).foreach { case (kind, o) =>
-        assertSameRows(s"random dag $seed, $kind order", d, o, Seq(1L, 60L, 120L, 300L, 1000L, 10000L))
-      }
+      val n = 4 + rnd.nextInt(70)
+      Seq("random dag" -> BruteForce.randomDag(n, seed), "dag with zeros" -> dagWithZeros(n, seed))
+        .foreach { case (dagKind, d) =>
+          orders(d, rnd).foreach { case (kind, o) =>
+            assertSameRows(s"$dagKind $seed, $kind order", d, o, Seq(1L, 60L, 120L, 300L, 1000L, 10000L))
+          }
+        }
     }
     val GB = 1L << 30
     for {

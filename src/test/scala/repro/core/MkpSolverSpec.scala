@@ -6,56 +6,93 @@ import repro.workload.DagGen
 
 class MkpSolverSpec extends AnyFunSuite {
 
-  private def value(sel: Set[Int], profits: Vector[Double]): Double =
-    sel.toSeq.map(profits(_)).sum
+  /** One MKP item: (profit, first row, last row, weight in each of its rows). */
+  private type Item = (Double, Int, Int, Long)
 
-  private def feasible(sel: Set[Int], weights: Vector[Vector[Long]],
-                       capacities: Vector[Long]): Boolean =
-    weights.indices.forall(x => sel.toSeq.map(weights(x)(_)).sum <= capacities(x))
+  private def search(items: Seq[Item], capacity: Long, rows: Int,
+                     maxNodes: Long = 200_000L): MkpSolver.Result =
+    MkpSolver.search(items.map(_._1).toVector, items.map(_._2).toVector, items.map(_._3).toVector,
+      items.map(_._4).toVector, capacity, rows, maxNodes)
+
+  private def solve(items: Seq[Item], capacity: Long, rows: Int): Set[Int] =
+    search(items, capacity, rows).selected
+
+  /** The instance as dense rows×items weights, the form `ReferenceMkp` and
+    * `BruteForce` take.
+    */
+  private def dense(items: Seq[Item], rows: Int): Vector[Vector[Long]] =
+    Vector.tabulate(rows, items.size) { (x, y) =>
+      val (_, first, last, w) = items(y)
+      if (first <= x && x <= last) w else 0L
+    }
+
+  private def value(sel: Set[Int], items: Seq[Item]): Double =
+    sel.toSeq.map(items(_)._1).sum
+
+  private def feasible(sel: Set[Int], items: Seq[Item], capacity: Long, rows: Int): Boolean =
+    dense(items, rows).forall(row => sel.toSeq.map(row(_)).sum <= capacity)
+
+  /** `l` items over `k` rows, each on a uniformly drawn interval. */
+  private def randomItems(rnd: Random, l: Int, k: Int, profit: => Double,
+                          weight: => Long): Vector[Item] =
+    Vector.fill(l) {
+      val first = rnd.nextInt(k)
+      (profit, first, first + rnd.nextInt(k - first), weight)
+    }
 
   test("single-dimension knapsack") {
-    val profits = Vector(60.0, 100.0, 120.0)
-    val weights = Vector(Vector(10L, 20L, 30L))
-    val sel = MkpSolver.solve(profits, weights, Vector(50L))
-    assert(value(sel, profits) == 220.0) // classic: items 1+2
+    val items = Seq((60.0, 0, 0, 10L), (100.0, 0, 0, 20L), (120.0, 0, 0, 30L))
+    val sel = solve(items, 50L, 1)
+    assert(value(sel, items) == 220.0) // classic: items 1+2
     assert(sel == Set(1, 2))
   }
 
   test("empty instance") {
-    assert(MkpSolver.solve(Vector.empty, Vector(Vector.empty), Vector(10L)).isEmpty)
+    assert(search(Seq.empty, 10L, 1) == MkpSolver.Result(Set.empty, 0L, provenOptimal = true))
+    assert(solve(Seq.empty, 10L, 0).isEmpty)
   }
 
-  test("no dimensions means take everything") {
-    assert(MkpSolver.solve(Vector(1.0, 2.0), Vector.empty, Vector.empty) == Set(0, 1))
+  test("weight-0 items are always taken") {
+    // Items 0 and 1 weigh nothing, so they fit even beside item 2, which
+    // fills row 0; item 3 never fits.
+    val items = Seq((1.0, 0, 1, 0L), (2.0, 1, 1, 0L), (3.0, 0, 0, 5L), (9.0, 0, 1, 6L))
+    assert(solve(items, 5L, 2) == Set(0, 1, 2))
+    assert(solve(items.take(2), 0L, 2) == Set(0, 1))
   }
 
   test("zero capacity selects only zero-weight items") {
-    val sel = MkpSolver.solve(Vector(5.0, 7.0), Vector(Vector(1L, 0L)), Vector(0L))
-    assert(sel == Set(1))
+    assert(solve(Seq((5.0, 0, 0, 1L), (7.0, 0, 0, 0L)), 0L, 1) == Set(1))
   }
 
   test("item too large for any dimension is never selected") {
-    val sel = MkpSolver.solve(Vector(100.0, 1.0),
-      Vector(Vector(50L, 1L), Vector(5L, 1L)), Vector(100L, 4L))
+    val sel = solve(Seq((100.0, 0, 1, 6L), (1.0, 0, 1, 1L), (1.0, 1, 1, 4L)), 5L, 2)
     assert(!sel.contains(0))
-    assert(sel == Set(1))
+    assert(sel == Set(1, 2))
   }
 
   test("two dimensions constrain jointly") {
-    // Items 0+1 fit dim 1 (5+5=10) but not dim 2 (9+2=11): the optimum is
-    // forced down to one big item plus the filler.
-    val profits = Vector(10.0, 10.0, 1.0)
-    val weights = Vector(Vector(5L, 5L, 1L), Vector(9L, 2L, 1L))
-    val sel = MkpSolver.solve(profits, weights, Vector(10L, 10L))
-    assert(feasible(sel, weights, Vector(10L, 10L)))
-    assert(value(sel, profits) == 11.0)
+    // Each of items 0 and 1 fits, and item 2 fits beside either, but 0 and
+    // 1 together overflow row 1 (6+5 = 11): the optimum is forced down to
+    // one big item plus the filler.
+    val items = Seq((10.0, 0, 1, 6L), (10.0, 1, 1, 5L), (1.0, 0, 0, 4L))
+    val sel = solve(items, 10L, 2)
+    assert(feasible(sel, items, 10L, 2))
+    assert(value(sel, items) == 11.0)
   }
 
   test("ties are resolved to an optimal selection") {
-    val profits = Vector(5.0, 5.0)
-    val weights = Vector(Vector(10L, 10L))
-    val sel = MkpSolver.solve(profits, weights, Vector(10L))
-    assert(value(sel, profits) == 5.0)
+    val items = Seq((5.0, 0, 0, 10L), (5.0, 0, 0, 10L))
+    assert(value(solve(items, 10L, 1), items) == 5.0)
+  }
+
+  private def assertBruteForce(what: String, items: Seq[Item], capacity: Long, rows: Int): Unit = {
+    val r = search(items, capacity, rows)
+    assert(r.provenOptimal, s"$what truncated")
+    assert(feasible(r.selected, items, capacity, rows), s"$what infeasible")
+    val best = BruteForce.mkpValue(items.map(_._1).toVector, dense(items, rows),
+      Vector.fill(rows)(capacity))
+    assert(math.abs(value(r.selected, items) - best) < 1e-6,
+      s"$what: got ${value(r.selected, items)}, optimal $best")
   }
 
   test("matches brute force on random instances") {
@@ -63,116 +100,86 @@ class MkpSolverSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val l = 2 + rnd.nextInt(10)
       val k = 1 + rnd.nextInt(4)
-      val profits = Vector.fill(l)(rnd.nextInt(100).toDouble)
-      val weights = Vector.fill(k)(Vector.fill(l)(rnd.nextInt(50).toLong))
-      val capacities = Vector.fill(k)((20 + rnd.nextInt(100)).toLong)
-      val r = MkpSolver.search(profits, weights, capacities)
-      assert(r.provenOptimal, s"seed $seed truncated")
-      val sel = r.selected
-      assert(feasible(sel, weights, capacities), s"seed $seed infeasible")
-      val best = BruteForce.mkpValue(profits, weights, capacities)
-      assert(math.abs(value(sel, profits) - best) < 1e-6,
-        s"seed $seed: got ${value(sel, profits)}, optimal $best")
+      val items = randomItems(rnd, l, k, rnd.nextInt(100).toDouble, rnd.nextInt(50).toLong)
+      assertBruteForce(s"seed $seed", items, (20 + rnd.nextInt(100)).toLong, k)
     }
   }
 
   test("matches brute force with many zero weights (sparse MKP rows)") {
     (0 until 20).foreach { seed =>
       val rnd = new Random(1000 + seed)
-      val l = 8
-      val k = 3
-      val profits = Vector.fill(l)(rnd.nextInt(100).toDouble)
-      val weights = Vector.fill(k)(Vector.fill(l)(
-        if (rnd.nextBoolean()) 0L else rnd.nextInt(60).toLong))
-      val capacities = Vector.fill(k)(80L)
-      val r = MkpSolver.search(profits, weights, capacities)
-      assert(r.provenOptimal, s"seed $seed truncated")
-      val sel = r.selected
-      val best = BruteForce.mkpValue(profits, weights, capacities)
-      assert(math.abs(value(sel, profits) - best) < 1e-6, s"seed $seed")
+      val items = randomItems(rnd, 8, 3, rnd.nextInt(100).toDouble,
+        if (rnd.nextBoolean()) 0L else rnd.nextInt(60).toLong)
+      assertBruteForce(s"seed $seed", items, 80L, 3)
     }
   }
 
   test("scales to 100 items with alive-set-shaped (interval) constraints") {
     // S/C's MKP rows are alive-sets: each constrains a window of nodes that
-    // coexist in memory. Build 20 windows of 12 consecutive items each.
+    // coexist in memory. Build 20 windows of 12 consecutive items each;
+    // item y lies in the windows w with 5w ≤ y < 5w + 12.
     val rnd = new Random(42)
-    val l = 100
-    val profits = Vector.fill(l)(rnd.nextInt(1000).toDouble)
-    val itemW = Vector.fill(l)((50 + rnd.nextInt(950)).toLong)
-    val weights = (0 until 20).map { w =>
-      val lo = w * 5
-      Vector.tabulate(l)(y => if (y >= lo && y < lo + 12) itemW(y) else 0L)
-    }.toVector
-    val capacities = Vector.fill(20)(2500L)
+    val profits = Vector.fill(100)(rnd.nextInt(1000).toDouble)
+    val weights = Vector.fill(100)((50 + rnd.nextInt(950)).toLong)
+    val items = Vector.tabulate(100) { y =>
+      val windows = (0 until 20).filter(w => y >= w * 5 && y < w * 5 + 12)
+      (profits(y), windows.head, windows.last, weights(y))
+    }
     val t0 = System.nanoTime()
-    val sel = MkpSolver.solve(profits, weights, capacities)
+    val sel = solve(items, 2500L, 20)
     val ms = (System.nanoTime() - t0) / 1e6
-    assert(feasible(sel, weights, capacities))
+    assert(feasible(sel, items, 2500L, 20))
     assert(sel.nonEmpty)
     assert(ms < 30000, f"BnB took $ms%.0f ms")
   }
 
   test("rejects malformed inputs") {
+    val ok = MkpSolver.search(Vector(1.0), Vector(0), Vector(0), Vector(1L), 1L, 1)
+    assert(ok.selected == Set(0))
     assertThrows[IllegalArgumentException](
-      MkpSolver.solve(Vector(1.0), Vector(Vector(1L, 2L)), Vector(1L)))
+      MkpSolver.search(Vector(1.0), Vector(0, 0), Vector(0), Vector(1L), 1L, 1))
     assertThrows[IllegalArgumentException](
-      MkpSolver.solve(Vector(1.0), Vector(Vector(1L)), Vector(1L, 2L)))
-    assertThrows[IllegalArgumentException](
-      MkpSolver.solve(Vector(-1.0), Vector(Vector(1L)), Vector(1L)))
-    assertThrows[IllegalArgumentException](
-      MkpSolver.solve(Vector(1.0), Vector(Vector(-1L)), Vector(1L)))
-    assertThrows[IllegalArgumentException](
-      MkpSolver.solve(Vector(1.0), Vector(Vector(1L)), Vector(-1L)))
+      MkpSolver.search(Vector(1.0), Vector(0), Vector(0), Vector(1L, 2L), 1L, 1))
+    assertThrows[IllegalArgumentException](search(Seq((-1.0, 0, 0, 1L)), 1L, 1))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, 0, 0, -1L)), 1L, 1))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, 0, 0, 1L)), -1L, 1))
   }
 
-  test("rejects malformed runs") {
-    import MkpSolver.Run
-    def runs(rs: Run*) = MkpSolver.searchRuns(Vector(1.0), Vector(rs.toVector), Vector(5L, 5L, 5L))
-    assert(runs(Run(0, 0, 1L), Run(1, 2, 3L)).selected == Set(0))
-    assertThrows[IllegalArgumentException](runs(Run(0, 1, 0L)))
-    assertThrows[IllegalArgumentException](runs(Run(1, 0, 1L)))
-    assertThrows[IllegalArgumentException](runs(Run(0, 3, 1L)))
-    assertThrows[IllegalArgumentException](runs(Run(-1, 0, 1L)))
-    assertThrows[IllegalArgumentException](runs(Run(0, 1, 1L), Run(1, 2, 1L)))
-    assertThrows[IllegalArgumentException](runs(Run(2, 2, 1L), Run(0, 0, 1L)))
-    assertThrows[IllegalArgumentException](
-      MkpSolver.searchRuns(Vector(1.0, 2.0), Vector(Vector.empty), Vector(5L)))
+  test("rejects malformed intervals") {
+    assert(search(Seq((1.0, 0, 2, 1L)), 5L, 3).selected == Set(0))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, 1, 0, 1L)), 5L, 3))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, 0, 3, 1L)), 5L, 3))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, -1, 0, 1L)), 5L, 3))
+    assertThrows[IllegalArgumentException](search(Seq((1.0, 0, 0, 1L)), 5L, 0))
   }
 
   // Differential tests: the optimized search must visit exactly the nodes
-  // the seed solver visits and return its selection, also when the node cap
-  // cuts the search short.
+  // the seed solver visits, on the same instance as dense weights, and
+  // return its selection, also when the node cap cuts the search short.
   private val caps = Seq(200_000L, 10L, 1_000L)
 
-  private def assertSameSearch(what: String, profits: Vector[Double],
-                               weights: Vector[Vector[Long]], capacities: Vector[Long]): Unit =
+  private def assertSameSearch(what: String, items: Seq[Item], capacity: Long, rows: Int): Unit =
     caps.foreach { cap =>
-      val (refSel, refNodes) = ReferenceMkp.solve(profits, weights, capacities, cap)
-      val r = MkpSolver.search(profits, weights, capacities, cap)
+      val (refSel, refNodes) = ReferenceMkp.solve(items.map(_._1).toVector, dense(items, rows),
+        Vector.fill(rows)(capacity), cap)
+      val r = search(items, capacity, rows, cap)
       assert(r.selected == refSel, s"$what, cap $cap: selection")
       assert(r.searchNodes == refNodes, s"$what, cap $cap: search nodes")
       assert(r.provenOptimal == (refNodes <= cap), s"$what, cap $cap: provenOptimal")
     }
 
-  test("search equals the reference solver on random dense instances") {
+  test("search equals the reference solver on random interval instances") {
     (0 until 100).foreach { seed =>
       val rnd = new Random(5000 + seed)
       val l = 5 + rnd.nextInt(36)
       val k = 1 + rnd.nextInt(6)
-      val profits = Vector.fill(l)(
-        if (seed % 2 == 0) rnd.nextInt(100).toDouble else rnd.nextDouble() * 1000)
-      val weights = Vector.fill(k)(Vector.fill(l)(1L + rnd.nextInt(100)))
-      val capacities = weights.map(row => row.sum * (1 + rnd.nextInt(3)) / 5)
-      assertSameSearch(s"seed $seed", profits, weights, capacities)
+      val items = randomItems(rnd, l, k,
+        if (seed % 2 == 0) rnd.nextInt(100).toDouble else rnd.nextDouble() * 1000,
+        if (rnd.nextInt(10) == 0) 0L else 1L + rnd.nextInt(100))
+      val capacity = dense(items, k).map(_.sum).max * (1 + rnd.nextInt(3)) / 5
+      assertSameSearch(s"seed $seed", items, capacity, k)
     }
   }
-
-  /** The instance's runs as dense k×l weights, the form the reference takes. */
-  private def dense(mkp: SimplifiedMkp.Instance): Vector[Vector[Long]] =
-    Vector.tabulate(mkp.capacities.size, mkp.nodes.size) { (x, y) =>
-      mkp.runs(y).find(r => r.first <= x && x <= r.last).fold(0L)(_.weight)
-    }
 
   test("search equals the reference solver on DagGen alive-set instances") {
     val GB = 1L << 30
@@ -184,16 +191,12 @@ class MkpSolverSpec extends AnyFunSuite {
         "MA-DFS" -> MaDfs.order(d, SimplifiedMkp.solve(d, m, d.topological)))
     } {
       val mkp = SimplifiedMkp.instance(d, m, order)
-      val weights = dense(mkp)
+      val items = mkp.profits.indices.map(y => (mkp.profits(y), mkp.first(y), mkp.last(y), mkp.weights(y)))
       val sets = ReferenceConstraints.constraintSets(d, order, m)
       assert(mkp.nodes == sets.flatten.distinct.sorted, s"dag $s: items")
-      assert(weights == sets.map(row => mkp.nodes.map(j => if (row(j)) d.size(j) else 0L)),
+      assert(dense(items, mkp.rows) == sets.map(row => mkp.nodes.map(j => if (row(j)) d.size(j) else 0L)),
         s"dag $s: weights")
-      assertSameSearch(s"dag $s at ${m / GB} GB, $kind order", mkp.profits, weights, mkp.capacities)
-      caps.foreach { cap =>
-        assert(MkpSolver.searchRuns(mkp.profits, mkp.runs, mkp.capacities, cap) ==
-          MkpSolver.search(mkp.profits, weights, mkp.capacities, cap), s"dag $s, cap $cap: runs")
-      }
+      assertSameSearch(s"dag $s at ${m / GB} GB, $kind order", items, m, mkp.rows)
     }
   }
 }
