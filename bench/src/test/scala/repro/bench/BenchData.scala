@@ -5,7 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.{Methods, SparkSpec}
 import repro.core.Dag
-import repro.exec.{Controller, ExecConfig, LruBaseline, NfsModel, RunReport}
+import repro.exec.{Controller, ExecConfig, NfsModel, RunReport}
 import repro.sim.Simulator
 import repro.workload.{Dataset, Metadata, TpcDsLite, Workload, Workloads}
 
@@ -60,9 +60,8 @@ object BenchData {
       else {
         val out = Files.createTempDirectory(dir, s"run-${ds.name}-${w.key}-$method-$pct")
         val cfg = ExecConfig(budget(ds, pct), Some(nfs(ds)), out)
-        if (method == "lru") new LruBaseline(spark, ds, cfg).run(w, cal.sizes)
-        else new Controller(spark, ds, cfg)
-          .run(w, Methods.plan(method, dag(ds, w), cfg.memoryCatalogBytes), cal.sizes, method)
+        Methods.run(method, new Controller(spark, ds, cfg), w, dag(ds, w), cfg.memoryCatalogBytes,
+          cal.sizes)
       }
     })
   }

@@ -3,7 +3,7 @@ package repro.jobs
 import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
 import repro.Methods
-import repro.exec.{Controller, ExecConfig, LruBaseline, NfsModel}
+import repro.exec.{Controller, ExecConfig, NfsModel}
 import repro.workload.{Metadata, TpcDsLite, Workloads}
 
 /** spark-submit entrypoint: run one workload with one method and print the
@@ -36,9 +36,7 @@ object RunWorkload {
     val cal = Metadata.calibrate(spark, dataset, workload, cfg.copy(outDir = dir.resolve("cal")))
     val dag = Metadata.dag(workload, cal.sizes, nfs, Methods.MemCreateMs)
 
-    val report =
-      if (method == "lru") new LruBaseline(spark, dataset, cfg).run(workload, cal.sizes)
-      else controller.run(workload, Methods.plan(method, dag, budget), cal.sizes, method)
+    val report = Methods.run(method, controller, workload, dag, budget, cal.sizes)
     println(f"workload=${report.workload} dataset=${report.dataset} method=${report.method} " +
       f"endToEnd=${report.endToEndMs / 1000}%.2fs read=${report.tableReadMs / 1000}%.2fs " +
       f"compute=${report.computeMs / 1000}%.2fs writeFg=${report.writeForegroundMs / 1000}%.2fs " +

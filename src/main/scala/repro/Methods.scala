@@ -1,10 +1,12 @@
 package repro
 
 import repro.core.{AlternatingOpt, Dag, NodeBaselines, OrderBaselines, Plan}
+import repro.exec.{Controller, RunReport}
+import repro.workload.Workload
 
-/** The one mapping from a method name to a plan, shared by the `jobs/`
-  * entrypoints and the bench suites, plus the settings that decide how a
-  * paper-side label becomes optimizer input.
+/** The one mapping from a method name to a plan and an executor, shared by
+  * the `jobs/` entrypoints and the bench suites, plus the settings that
+  * decide how a paper-side label becomes optimizer input.
   */
 object Methods {
 
@@ -27,7 +29,7 @@ object Methods {
 
   /** The plan of `name` ∈ no-opt | sc | greedy | random | ratio. The
     * baselines keep the initial topological order, as in the paper. LRU has
-    * no plan; callers run it on its own executor.
+    * no plan: [[run]] runs it on the Controller's LRU cache policy.
     */
   def plan(name: String, dag: Dag, budget: Long): Plan = name match {
     case "no-opt" => Plan(dag.topological, Set.empty)
@@ -37,6 +39,14 @@ object Methods {
     case "ratio"  => AlternatingOpt.singleShot(dag, budget, NodeBaselines.ratio)
     case other    => throw new IllegalArgumentException(s"unknown method $other")
   }
+
+  /** Refreshes `workload` on `controller` (catalog budget `budget`) with
+    * method `name` ∈ lru or a [[plan]] name, under calibrated `sizes`.
+    */
+  def run(name: String, controller: Controller, workload: Workload, dag: Dag, budget: Long,
+          sizes: Map[String, Long]): RunReport =
+    if (name == "lru") controller.runLru(workload, sizes)
+    else controller.run(workload, plan(name, dag, budget), sizes, name)
 
   /** The § VI-F ablation pairs (Figs 12 and 13): S/C's own solvers first,
     * then MKP and MA-DFS each swapped for an alternative.

@@ -26,13 +26,14 @@ object AlternatingOpt {
   /** Result of the optimization plus the number of iterations it took. */
   final case class Result(plan: Plan, iterations: Int)
 
-  def solve(dag: Dag, memoryBudget: Long,
-            solvers: Solvers = scSolvers, maxIterations: Int = 100): Result = {
+  private val MaxIterations = 100
+
+  def solve(dag: Dag, memoryBudget: Long, solvers: Solvers = scSolvers): Result = {
     var order   = dag.topological
     var flagged = Set.empty[Int]
     var iter    = 0
     var stop    = false
-    while (!stop && iter < maxIterations) {
+    while (!stop && iter < MaxIterations) {
       iter += 1
       val flaggedNew = solvers.nodes(dag, memoryBudget, order)
       if (Plan(order, flaggedNew).totalSpeedup(dag) <= Plan(order, flagged).totalSpeedup(dag)) {

@@ -8,7 +8,7 @@ import scala.concurrent.{Await, ExecutionContext, Future}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.core.Plan
-import repro.workload.{Dataset, TpcDsLite, Workload}
+import repro.workload.{Dataset, MvSpec, TpcDsLite, Workload}
 
 /** Execution configuration for one refresh run.
   *
@@ -54,6 +54,9 @@ final case class RunReport(workload: String, dataset: String, method: String,
   * occupancy is the plan's [[Plan.residency]] under the calibrated sizes —
   * the same numbers the optimizer reasoned with — so a plan whose peak
   * exceeds the budget is rejected before any MV runs.
+  *
+  * The DBMS-LRU-cache baseline (§ VI-A, [[runLru]]) runs on the same
+  * storage steps; only its cache policy differs.
   */
 final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
@@ -63,6 +66,16 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
   private def delay(ms: Double): Unit =
     if (ms >= 1.0) Thread.sleep(ms.toLong)
+
+  private def write(df: DataFrame, name: String): Unit =
+    df.write.mode("overwrite").parquet(mvPath(name).toString)
+
+  /** Charges (and sleeps for) the modeled write of `bytes`. */
+  private def chargeWrite(bytes: Long): Double = {
+    val w = nfs.writeMs(bytes)
+    delay(w)
+    w
+  }
 
   /** Run `workload` under `plan`. `sizes` are the calibrated output sizes
     * (empty on the calibration run itself, where nothing is flagged and
@@ -79,107 +92,170 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     require(Plan.isFeasible(dag, plan, cfg.memoryCatalogBytes),
       "plan order must be a topological order of the MVs whose Memory Catalog peak " +
         s"fits ${cfg.memoryCatalogBytes} B")
-    Files.createDirectories(cfg.outDir)
-    TpcDsLite.registerViews(spark, dataset)
-
-    // One materialization channel, as in § III-C / Fig 6: flagged outputs
-    // are written to storage one at a time, in parallel with downstream
-    // execution (the timeline simulator models the same single channel).
-    val writePool = Executors.newFixedThreadPool(1)
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
-    val bgWrites = mutable.Map.empty[String, Future[Double]]
-    val resident = mutable.Map.empty[String, DataFrame] // the Memory Catalog
-    val persisted = mutable.Buffer.empty[DataFrame]
-    val views = mutable.Set.empty[String] // parent MV temp views registered
     // A flagged node leaves the catalog right after the position where its
     // residency ends (§ III-C): its last child, or itself when childless.
     val releaseAfter = {
       val r = Plan.residency(dag, plan.order)
       plan.flagged.toSeq.groupBy(r.end)
     }
-    val nodeReports = Vector.newBuilder[NodeReport]
-    var readTotal, computeTotal, writeFgTotal = 0.0
-
-    val t0 = System.nanoTime()
-    try {
+    refresh(workload, sizes, method) { steps =>
+      val resident = mutable.Map.empty[String, DataFrame] // the Memory Catalog
       plan.order.zipWithIndex.foreach { case (idx, k) =>
         val mv = workload.mvs(idx)
-        // Bind parent views: Memory Catalog hit → cached DataFrame, no
-        // storage read; miss → Parquet read with modeled NFS delay.
-        val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
-        var parentRead = 0.0
-        mv.parents.foreach { p =>
-          views += p
-          if (resident.contains(p)) {
-            resident(p).createOrReplaceTempView(p)
-          } else {
-            spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
-            parentRead += nfs.readMs(sizes.getOrElse(p, TpcDsLite.dirBytes(mvPath(p))))
-          }
-        }
-        val readDelay = baseRead + parentRead
-        delay(readDelay)
-        readTotal += readDelay
-
-        val sql = mv.sqlFor(dataset.partitioned)
+        // A flagged node is created in the Memory Catalog and materialized
+        // to storage in parallel with downstream execution.
         val flagged = plan.flagged(idx)
-        var writeDelay = 0.0
-        var outBytes = 0L
-        val tExec0 = System.nanoTime()
-        if (flagged) {
-          // Create in the Memory Catalog. Registered before the persist, so
-          // the finally unpersists it even when the count fails.
-          val df = spark.sql(sql)
-          persisted += df
-          df.persist(StorageLevel.MEMORY_ONLY).count()
-          resident(mv.name) = df
-          outBytes = sizes(mv.name)
-          val execMs = (System.nanoTime() - tExec0) / 1e6
-          computeTotal += execMs
-          // Materialize to storage in parallel with downstream execution.
-          bgWrites(mv.name) = Future {
-            df.write.mode("overwrite").parquet(mvPath(mv.name).toString)
-            val w = nfs.writeMs(sizes(mv.name))
-            delay(w)
-            w
-          }
-          nodeReports += NodeReport(mv.name, flagged = true, outBytes, baseRead, parentRead, execMs, 0.0)
-        } else {
-          spark.sql(sql).write.mode("overwrite").parquet(mvPath(mv.name).toString)
-          val execMs = (System.nanoTime() - tExec0) / 1e6
-          computeTotal += execMs
-          outBytes = sizes.getOrElse(mv.name, TpcDsLite.dirBytes(mvPath(mv.name)))
-          writeDelay = nfs.writeMs(outBytes)
-          delay(writeDelay)
-          writeFgTotal += writeDelay
-          nodeReports += NodeReport(mv.name, flagged = false, outBytes, baseRead, parentRead, execMs, writeDelay)
-        }
-
-        // The physical unpersist waits for the background materialization.
+        val df = steps.node(mv, resident.get, persist = flagged, background = flagged)
+        if (flagged) resident(mv.name) = df
         releaseAfter.getOrElse(k, Nil).foreach { j =>
           val name = workload.mvs(j).name
-          val df = resident.remove(name).get
-          bgWrites(name).onComplete(_ => df.unpersist(false))
+          steps.release(name, resident.remove(name).get)
         }
       }
-
-      // All MVs count as refreshed only once materialized on storage.
-      val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
-      val endToEnd = (System.nanoTime() - t0) / 1e6
-      RunReport(workload.key, dataset.name, method, endToEnd, readTotal, computeTotal,
-        writeFgTotal, bgDelays.sum, Plan.peakMemoryUsage(dag, plan), nodeReports.result())
-    } finally {
-      // On failure too, no background write may outlive the run.
-      bgWrites.values.foreach(Await.ready(_, Duration.Inf))
-      persisted.foreach(_.unpersist(false)) // idempotent after a release
-      writePool.shutdown()
-      // The views point at unpersisted DataFrames or at output a later run
-      // may delete; none may outlive the run.
-      views.foreach(spark.catalog.dropTempView)
+      Plan.peakMemoryUsage(dag, plan)
     }
   }
 
   /** No-optimization baseline: deterministic topological order, no flags. */
   def runBaseline(workload: Workload, sizes: Map[String, Long] = Map.empty): RunReport =
     run(workload, Plan(workload.structuralDag.topological, Set.empty), sizes, method = "no-opt")
+
+  /** The DBMS-LRU-cache baseline (§ VI-A): query results are cached in an
+    * LRU cache whose capacity equals the Memory Catalog budget. Execution
+    * follows the plain topological order; every MV is written to storage on
+    * the critical path (the cache short-circuits reads only, not writes).
+    * An MV is cached when it fits the budget and has children; a cached
+    * parent is served from memory and touched.
+    */
+  def runLru(workload: Workload, sizes: Map[String, Long]): RunReport = {
+    val sdag = workload.structuralDag
+    refresh(workload, sizes, "lru") { steps =>
+      // Least recently used first: a hit is removed and reinserted.
+      val cache = mutable.LinkedHashMap.empty[String, (DataFrame, Long)]
+      val touch = (p: String) => cache.remove(p).map { entry => cache(p) = entry; entry._1 }
+      var cachedBytes, peak = 0L
+      sdag.topological.foreach { idx =>
+        val mv = workload.mvs(idx)
+        val bytes = sizes(mv.name)
+        val cacheable = bytes <= cfg.memoryCatalogBytes && sdag.children(idx).nonEmpty
+        // Persisted before the write, so the one execution of the statement
+        // both writes the MV and fills the cache. Eviction waits until it
+        // has run: evicting first could drop a cached parent it reads and
+        // make Spark recompute that parent.
+        val df = steps.node(mv, touch, persist = cacheable, background = false)
+        if (cacheable) {
+          while (cachedBytes + bytes > cfg.memoryCatalogBytes && cache.nonEmpty) {
+            val (name, (evicted, evictedBytes)) = cache.head
+            cache.remove(name)
+            evicted.unpersist(false)
+            cachedBytes -= evictedBytes
+          }
+          cache(mv.name) = (df, bytes)
+          cachedBytes += bytes
+          peak = math.max(peak, cachedBytes)
+        }
+      }
+      peak
+    }
+  }
+
+  /** Runs `loop` over one refresh's [[Steps]] and reports the run, with
+    * `loop`'s result as the Memory Catalog peak. The steps' resources are
+    * released whether or not the run fails.
+    */
+  private def refresh(workload: Workload, sizes: Map[String, Long], method: String)
+                     (loop: Steps => Long): RunReport = {
+    Files.createDirectories(cfg.outDir)
+    TpcDsLite.registerViews(spark, dataset)
+    val steps = new Steps(sizes)
+    try {
+      val peak = loop(steps)
+      steps.report(workload, method, peak)
+    } finally steps.close()
+  }
+
+  /** The per-node steps of one refresh, with the modeled NFS charges, and
+    * the totals and resources they accumulate.
+    */
+  private final class Steps(sizes: Map[String, Long]) {
+    // One materialization channel, as in § III-C / Fig 6: background
+    // writes go to storage one at a time, in parallel with downstream
+    // execution (the timeline simulator models the same single channel).
+    private val writePool = Executors.newFixedThreadPool(1)
+    private implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
+    private val bgWrites = mutable.Map.empty[String, Future[Double]]
+    private val persisted = mutable.Buffer.empty[DataFrame]
+    private val views = mutable.Set.empty[String] // parent MV temp views registered
+    private val nodeReports = Vector.newBuilder[NodeReport]
+    private var readTotal, computeTotal, writeFgTotal = 0.0
+    private val t0 = System.nanoTime()
+
+    private def outBytes(name: String): Long = sizes.getOrElse(name, TpcDsLite.dirBytes(mvPath(name)))
+
+    /** Refreshes `mv` and returns its statement's DataFrame. A parent that
+      * `cached` holds is bound from memory, any other is a charged Parquet
+      * read of its output. The statement is persisted first when `persist`.
+      * When `background`, a count fills it and its storage write runs off
+      * the critical path; otherwise it is written and charged at once.
+      */
+    def node(mv: MvSpec, cached: String => Option[DataFrame],
+             persist: Boolean, background: Boolean): DataFrame = {
+      val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
+      var parentRead = 0.0
+      mv.parents.foreach { p =>
+        views += p
+        cached(p) match {
+          case Some(df) => df.createOrReplaceTempView(p)
+          case None =>
+            spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
+            parentRead += nfs.readMs(outBytes(p))
+        }
+      }
+      val readDelay = baseRead + parentRead
+      delay(readDelay)
+      readTotal += readDelay
+
+      val tExec0 = System.nanoTime()
+      val df = spark.sql(mv.sqlFor(dataset.partitioned))
+      if (persist) {
+        // Registered before the persist, so close() unpersists it even when
+        // the action that fills the cache fails.
+        persisted += df
+        df.persist(StorageLevel.MEMORY_ONLY)
+      }
+      if (background) df.count() else write(df, mv.name)
+      val execMs = (System.nanoTime() - tExec0) / 1e6
+      computeTotal += execMs
+      val bytes = outBytes(mv.name)
+      if (background) bgWrites(mv.name) = Future { write(df, mv.name); chargeWrite(bytes) }
+      val writeDelay = if (background) 0.0 else chargeWrite(bytes)
+      writeFgTotal += writeDelay
+      nodeReports += NodeReport(mv.name, background, bytes, baseRead, parentRead, execMs, writeDelay)
+      df
+    }
+
+    /** Releases `name`'s cached `df`. The physical unpersist waits for the
+      * background materialization.
+      */
+    def release(name: String, df: DataFrame): Unit =
+      bgWrites(name).onComplete(_ => df.unpersist(false))
+
+    /** All MVs count as refreshed only once materialized on storage. */
+    def report(workload: Workload, method: String, peak: Long): RunReport = {
+      val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
+      val endToEnd = (System.nanoTime() - t0) / 1e6
+      RunReport(workload.key, dataset.name, method, endToEnd, readTotal, computeTotal,
+        writeFgTotal, bgDelays.sum, peak, nodeReports.result())
+    }
+
+    def close(): Unit = {
+      // On failure too, no background write may outlive the run.
+      bgWrites.values.foreach(Await.ready(_, Duration.Inf))
+      persisted.foreach(_.unpersist(false)) // idempotent after a release or eviction
+      writePool.shutdown()
+      // The views point at unpersisted DataFrames or at output a later run
+      // may delete; none may outlive the run.
+      views.foreach(spark.catalog.dropTempView)
+    }
+  }
 }

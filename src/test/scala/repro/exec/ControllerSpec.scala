@@ -238,6 +238,19 @@ class ControllerSpec extends SparkSpec {
     assert(spark.sharedState.cacheManager.isEmpty)
     assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
     assert(mvViews(failing).isEmpty, "MV temp views left behind")
+
+    // Under LRU, a cacheable statement is persisted before its write fails.
+    val lruFailing = Workload("fault3", "fault injection", "", Vector(
+      MvSpec("fault_d", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim",
+        baseTables = Vector("date_dim")),
+      MvSpec("fault_e", "SELECT x FROM fault_d", parents = Vector("fault_d"))))
+    val lruSizes = Map("fault_d" -> 1L, "fault_e" -> 1L)
+    val e2 = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+      .runLru(lruFailing, lruSizes))
+    assert(e2.getMessage.contains("is not true"), e2.getMessage)
+    assert(spark.sharedState.cacheManager.isEmpty)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(mvViews(lruFailing).isEmpty, "MV temp views left behind")
   }
 
   test("a finished run leaves no MV temp views behind") {
@@ -250,8 +263,8 @@ class ControllerSpec extends SparkSpec {
     new Controller(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views")))
       .run(w, plan, calReport.sizes)
     assert(mvViews(w).isEmpty, "Controller left MV temp views behind")
-    new LruBaseline(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views-lru")))
-      .run(w, calReport.sizes)
-    assert(mvViews(w).isEmpty, "LruBaseline left MV temp views behind")
+    new Controller(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views-lru")))
+      .runLru(w, calReport.sizes)
+    assert(mvViews(w).isEmpty, "the LRU run left MV temp views behind")
   }
 }
