@@ -21,7 +21,7 @@ object RunWorkload {
     val memPct = args.lift(3).map(_.toDouble).getOrElse(1.6)
     val part   = args.lift(4).exists(_.toBoolean)
 
-    val spark = SparkSession.builder.appName("sc-run-workload")
+    val spark = SparkSession.builder().appName("sc-run-workload")
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     val workload = Workloads.all.find(_.key == wKey)
       .getOrElse(sys.error(s"unknown workload $wKey"))

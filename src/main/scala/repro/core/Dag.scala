@@ -17,8 +17,10 @@ final case class MvNode(id: Int, name: String, sizeBytes: Long, speedupMs: Doubl
 /** The MV dependency graph G = {V, E} (§ IV).
   *
   * Nodes are indexed 0..n-1; an edge (p, c) means MV `c` reads the output
-  * of MV `p`, so `p` must execute before `c`. Construction validates that
-  * the graph is acyclic and that all edge endpoints exist.
+  * of MV `p`, so `p` must execute before `c`. Construction validates node
+  * ids and that edge endpoints are distinct, existing nodes; it does not
+  * check for cycles. A cycle is caught where an order is asked for:
+  * `topological` throws, and `isTopological` is false for every order.
   */
 final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
   require(nodes.zipWithIndex.forall { case (nd, i) => nd.id == i },

@@ -70,7 +70,7 @@ object OrderBaselines {
         // Crossing cost if v joins A: flagged bytes of A∪{v} members whose
         // children remain in B (they stay resident across the whole of B).
         def cost(v: Int): Long = {
-          val nextA = inA + v
+          val nextA = inA.clone() += v
           nextA.toSeq.collect {
             case u if flagged(u) && dag.children(u).exists(c => inBlock(c) && !nextA(c)) =>
               dag.size(u)

@@ -32,9 +32,11 @@ final case class NodeReport(name: String, flagged: Boolean, outBytes: Long,
   * background writes overlap downstream execution).
   */
 final case class RunReport(workload: String, dataset: String, method: String,
-                           endToEndMs: Double, tableReadMs: Double, computeMs: Double,
-                           writeForegroundMs: Double, writeBackgroundMs: Double,
+                           endToEndMs: Double, writeBackgroundMs: Double,
                            peakCatalogBytes: Long, nodes: Vector[NodeReport]) {
+  def tableReadMs: Double = nodes.foldLeft(0.0)((s, n) => s + (n.baseReadMs + n.parentReadMs))
+  def computeMs: Double = nodes.foldLeft(0.0)(_ + _.execMs)
+  def writeForegroundMs: Double = nodes.foldLeft(0.0)(_ + _.writeDelayMs)
   def queryMs: Double = tableReadMs + computeMs
   def sizes: Map[String, Long] = nodes.map(n => n.name -> n.outBytes).toMap
   def execMsByName: Map[String, Double] = nodes.map(n => n.name -> n.execMs).toMap
@@ -175,7 +177,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
   }
 
   /** The per-node steps of one refresh, with the modeled NFS charges, and
-    * the totals and resources they accumulate.
+    * the reports and resources they accumulate.
     */
   private final class Steps(sizes: Map[String, Long]) {
     // One materialization channel, as in § III-C / Fig 6: background
@@ -187,7 +189,6 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     private val persisted = mutable.Buffer.empty[DataFrame]
     private val views = mutable.Set.empty[String] // parent MV temp views registered
     private val nodeReports = Vector.newBuilder[NodeReport]
-    private var readTotal, computeTotal, writeFgTotal = 0.0
     private val t0 = System.nanoTime()
 
     private def outBytes(name: String): Long = sizes.getOrElse(name, TpcDsLite.dirBytes(mvPath(name)))
@@ -211,9 +212,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
             parentRead += nfs.readMs(outBytes(p))
         }
       }
-      val readDelay = baseRead + parentRead
-      delay(readDelay)
-      readTotal += readDelay
+      delay(baseRead + parentRead)
 
       val tExec0 = System.nanoTime()
       val df = spark.sql(mv.sqlFor(dataset.partitioned))
@@ -225,11 +224,9 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       }
       if (background) df.count() else write(df, mv.name)
       val execMs = (System.nanoTime() - tExec0) / 1e6
-      computeTotal += execMs
       val bytes = outBytes(mv.name)
       if (background) bgWrites(mv.name) = Future { write(df, mv.name); chargeWrite(bytes) }
       val writeDelay = if (background) 0.0 else chargeWrite(bytes)
-      writeFgTotal += writeDelay
       nodeReports += NodeReport(mv.name, background, bytes, baseRead, parentRead, execMs, writeDelay)
       df
     }
@@ -244,8 +241,8 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     def report(workload: Workload, method: String, peak: Long): RunReport = {
       val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
       val endToEnd = (System.nanoTime() - t0) / 1e6
-      RunReport(workload.key, dataset.name, method, endToEnd, readTotal, computeTotal,
-        writeFgTotal, bgDelays.sum, peak, nodeReports.result())
+      RunReport(workload.key, dataset.name, method, endToEnd, bgDelays.sum, peak,
+        nodeReports.result())
     }
 
     def close(): Unit = {

@@ -59,8 +59,7 @@ object DagGen {
       seed: Long = 0,
   )
 
-  final case class Generated(dag: Dag, ops: Vector[Op], computeMs: Vector[Double],
-                             stageOf: Vector[Int]) {
+  final case class Generated(dag: Dag, ops: Vector[Op], stageOf: Vector[Int]) {
     def stages: Int = if (stageOf.isEmpty) 0 else stageOf.max + 1
   }
 
@@ -141,17 +140,10 @@ object DagGen {
       }
     }
 
-    // Compute time proportional to input volume (joins costlier), ~50 MB/s.
-    val computeMs = (0 until p.nNodes).map { v =>
-      val in = parentsOf(v).map(sizes(_)).sum + (if (parentsOf(v).isEmpty) sizes(v) else 0L)
-      val perByteMs = (if (ops(v) == Join) 2.0 else 1.0) / (50.0 * 1024 * 1024 / 1000.0)
-      in * perByteMs
-    }.toVector
-
     // outUsed(v) counts v's out-edges, i.e. its children.
     val nodes = (0 until p.nNodes).map { v =>
       MvNode(v, s"g$v", sizes(v), NfsModel.paperEnvironment.speedupScore(outUsed(v), sizes(v), 0.0))
     }.toVector
-    Generated(Dag(nodes, edges.toSet), ops.toVector, computeMs, stageOf)
+    Generated(Dag(nodes, edges.toSet), ops.toVector, stageOf)
   }
 }

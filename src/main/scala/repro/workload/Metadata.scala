@@ -10,7 +10,9 @@ import repro.exec.{Controller, ExecConfig, NfsModel, RunReport}
   */
 object Metadata {
 
-  final case class Calibration(report: RunReport, sizes: Map[String, Long]) {
+  final case class Calibration(report: RunReport) {
+    def sizes: Map[String, Long] = report.sizes
+
     /** Table III's I/O ratio: time spent reading/writing *intermediate*
       * tables — the share S/C can optimize — over total workload time
       * (base-table reads are unavoidable and stay in the denominator only).
@@ -25,10 +27,8 @@ object Metadata {
 
   /** Run the workload once, unoptimized, to observe sizes and times. */
   def calibrate(spark: SparkSession, dataset: Dataset, workload: Workload,
-                cfg: ExecConfig): Calibration = {
-    val report = new Controller(spark, dataset, cfg).runBaseline(workload)
-    Calibration(report, report.sizes)
-  }
+                cfg: ExecConfig): Calibration =
+    Calibration(new Controller(spark, dataset, cfg).runBaseline(workload))
 
   /** Speedup scores t_i (§ IV) from calibrated sizes, by
     * `NfsModel.speedupScore`. `memCreateMs` is the paper's `time(create v_i

@@ -45,7 +45,34 @@ final case class Dataset(
   * pruning in Spark and partition-aware read-cost modeling.
   */
 object TpcDsLite {
-  val SalesTables: Vector[String] = Vector("store_sales", "catalog_sales", "web_sales")
+
+  /** One sales channel (§ VI-A): its fact table, whose column names all
+    * derive from `prefix` but for the customer key, and its generator
+    * inputs.
+    *
+    * @param key       channel name, as used in workload MV names
+    * @param cust      customer foreign-key column
+    * @param rowsPerSf fact rows at SF 1
+    * @param seed      first of the generator's `rand` seeds for the table
+    */
+  final case class Channel(key: String, table: String, prefix: String, cust: String,
+                           rowsPerSf: Long, seed: Long) {
+    def date: String   = s"${prefix}_sold_date_sk"
+    def item: String   = s"${prefix}_item_sk"
+    def qty: String    = s"${prefix}_quantity"
+    def price: String  = s"${prefix}_ext_sales_price"
+    def profit: String = s"${prefix}_net_profit"
+    /** Sold-year column the partitioned variant (TPC-DSp) adds and partitions by. */
+    def yearCol: String = s"${prefix}_sold_year"
+  }
+
+  val Channels: Vector[Channel] = Vector(
+    Channel("store", "store_sales", "ss", "ss_customer_sk", 4_000_000L, 23),
+    Channel("catalog", "catalog_sales", "cs", "cs_bill_customer_sk", 2_000_000L, 29),
+    Channel("web", "web_sales", "ws", "ws_bill_customer_sk", 1_000_000L, 31),
+  )
+
+  val SalesTables: Vector[String] = Channels.map(_.table)
   val DimTables: Vector[String]   = Vector("date_dim", "item", "customer", "store")
   val AllTables: Vector[String]   = SalesTables ++ DimTables
 
@@ -54,13 +81,11 @@ object TpcDsLite {
   /** Days in date_dim: 1998-01-01 .. 2002-12-31 (fixed, like TPC-DS). */
   val NDays = 1826
 
-  private val NStoreSalesPerSf   = 4_000_000L
-  private val NCatalogSalesPerSf = 2_000_000L
-  private val NWebSalesPerSf     = 1_000_000L
-  private val NCustomerPerSf     =   200_000L
-  private val NItemPerSf         =    40_000L
+  private val NCustomerPerSf = 200_000L
+  private val NItemPerSf     =  40_000L
 
   private def n(base: Long, sf: Double): Long = math.max(10L, (base * sf).toLong)
+  private def nStore(sf: Double): Long = math.max(4L, (50 * sf).toLong)
 
   def dateDim(spark: SparkSession): DataFrame = {
     import spark.implicits._
@@ -77,8 +102,9 @@ object TpcDsLite {
     )
   }
 
-  def item(spark: SparkSession, sf: Double, seed: Long = 11): DataFrame = {
+  def item(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
+    val seed = 11L
     spark.range(1, n(NItemPerSf, sf) + 1).toDF("i_item_sk").select(
       $"i_item_sk",
       concat(lit("ITEM"), $"i_item_sk")                           as "i_item_id",
@@ -90,8 +116,9 @@ object TpcDsLite {
     )
   }
 
-  def customer(spark: SparkSession, sf: Double, seed: Long = 13): DataFrame = {
+  def customer(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
+    val seed = 13L
     spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_customer_sk").select(
       $"c_customer_sk",
       concat(lit("CUST"), $"c_customer_sk")                       as "c_customer_id",
@@ -100,60 +127,40 @@ object TpcDsLite {
     )
   }
 
-  def store(spark: SparkSession, sf: Double, seed: Long = 17): DataFrame = {
+  def store(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
-    val count = math.max(4L, (50 * sf).toLong)
-    spark.range(1, count + 1).toDF("s_store_sk").select(
+    val seed = 17L
+    spark.range(1, nStore(sf) + 1).toDF("s_store_sk").select(
       $"s_store_sk",
       concat(lit("STORE"), $"s_store_sk")                         as "s_store_id",
       concat(lit("ST"), (rand(seed) * 10).cast(IntegerType))      as "s_state",
     )
   }
 
-  private def sales(spark: SparkSession, rows: Long, sf: Double, prefix: String,
-                    custCol: String, seed: Long, withStore: Boolean): DataFrame = {
-    val nItem = n(NItemPerSf, sf); val nCust = n(NCustomerPerSf, sf)
-    val nStore = math.max(4L, (50 * sf).toLong)
-    val base = spark.range(rows).select(
-      (rand(seed)     * NDays + 1).cast(LongType)       as s"${prefix}_sold_date_sk",
-      (rand(seed + 1) * nItem + 1).cast(LongType)       as s"${prefix}_item_sk",
-      (rand(seed + 2) * nCust + 1).cast(LongType)       as custCol,
-      (rand(seed + 3) * 100 + 1).cast(IntegerType)      as s"${prefix}_quantity",
-      round(rand(seed + 4) * 500 + 1, 2)                as s"${prefix}_sales_price",
-      round(rand(seed + 5) * 25000 + 50, 2)             as s"${prefix}_ext_sales_price",
-      round(rand(seed + 6) * 12000 - 3000, 2)           as s"${prefix}_net_profit",
+  /** The fact table of channel `c`; store sales also carry `ss_store_sk`. */
+  def sales(spark: SparkSession, c: Channel, sf: Double): DataFrame = {
+    val seed = c.seed
+    val base = spark.range(n(c.rowsPerSf, sf)).select(
+      (rand(seed)     * NDays + 1).cast(LongType)                 as c.date,
+      (rand(seed + 1) * n(NItemPerSf, sf) + 1).cast(LongType)     as c.item,
+      (rand(seed + 2) * n(NCustomerPerSf, sf) + 1).cast(LongType) as c.cust,
+      (rand(seed + 3) * 100 + 1).cast(IntegerType)                as c.qty,
+      round(rand(seed + 4) * 500 + 1, 2)                          as s"${c.prefix}_sales_price",
+      round(rand(seed + 5) * 25000 + 50, 2)                       as c.price,
+      round(rand(seed + 6) * 12000 - 3000, 2)                     as c.profit,
     )
-    if (withStore) base.withColumn(s"${prefix}_store_sk",
-      (rand(seed + 7) * nStore + 1).cast(LongType))
+    if (c.key == "store") base.withColumn(s"${c.prefix}_store_sk",
+      (rand(seed + 7) * nStore(sf) + 1).cast(LongType))
     else base
   }
 
-  def storeSales(spark: SparkSession, sf: Double, seed: Long = 23): DataFrame =
-    sales(spark, n(NStoreSalesPerSf, sf), sf, "ss", "ss_customer_sk", seed, withStore = true)
-
-  def catalogSales(spark: SparkSession, sf: Double, seed: Long = 29): DataFrame =
-    sales(spark, n(NCatalogSalesPerSf, sf), sf, "cs", "cs_bill_customer_sk", seed, withStore = false)
-
-  def webSales(spark: SparkSession, sf: Double, seed: Long = 31): DataFrame =
-    sales(spark, n(NWebSalesPerSf, sf), sf, "ws", "ws_bill_customer_sk", seed, withStore = false)
-
   def table(spark: SparkSession, name: String, sf: Double): DataFrame = name match {
-    case "store_sales"   => storeSales(spark, sf)
-    case "catalog_sales" => catalogSales(spark, sf)
-    case "web_sales"     => webSales(spark, sf)
     case "date_dim"      => dateDim(spark)
     case "item"          => item(spark, sf)
     case "customer"      => customer(spark, sf)
     case "store"         => store(spark, sf)
-    case other           => throw new IllegalArgumentException(s"unknown table $other")
-  }
-
-  /** Year column appended to a sales table for the partitioned variant. */
-  def yearColumn(prefix: String): String = s"${prefix}_sold_year"
-
-  private def withYear(spark: SparkSession, df: DataFrame, prefix: String): DataFrame = {
-    val dd = dateDim(spark).select(col("d_date_sk") as "yd_sk", col("d_year") as yearColumn(prefix))
-    df.join(dd, col(s"${prefix}_sold_date_sk") === col("yd_sk"), "left").drop("yd_sk")
+    case other           => Channels.find(_.table == other).map(sales(spark, _, sf))
+      .getOrElse(throw new IllegalArgumentException(s"unknown table $other"))
   }
 
   /** Total bytes of the regular files under `p`; 0 when `p` is missing. */
@@ -167,30 +174,28 @@ object TpcDsLite {
   }
 
   /** Generate the dataset under `dir`, writing each table as Parquet.
-    * For `partitioned = true` the three sales tables gain a `*_sold_year`
-    * column and are written `partitionBy` that column (TPC-DSp).
+    * For `partitioned = true` the three sales tables gain their channel's
+    * `yearCol` and are written `partitionBy` that column (TPC-DSp).
     */
   def generate(spark: SparkSession, dir: Path, sf: Double, partitioned: Boolean): Dataset = {
     Files.createDirectories(dir)
-    val prefixOf = Map("store_sales" -> "ss", "catalog_sales" -> "cs", "web_sales" -> "ws")
     AllTables.foreach { t =>
-      val path = dir.resolve(t)
-      val df = table(spark, t, sf)
-      if (partitioned && SalesTables.contains(t)) {
-        val pfx = prefixOf(t)
-        withYear(spark, df, pfx).write.mode("overwrite")
-          .partitionBy(yearColumn(pfx)).parquet(path.toString)
-      } else {
-        df.write.mode("overwrite").parquet(path.toString)
+      val path = dir.resolve(t).toString
+      Channels.find(c => partitioned && c.table == t) match {
+        case Some(c) =>
+          val dd = dateDim(spark).select(col("d_date_sk") as "yd_sk", col("d_year") as c.yearCol)
+          sales(spark, c, sf).join(dd, col(c.date) === col("yd_sk"), "left").drop("yd_sk")
+            .write.mode("overwrite").partitionBy(c.yearCol).parquet(path)
+        case None =>
+          table(spark, t, sf).write.mode("overwrite").parquet(path)
       }
     }
     val tableBytes = AllTables.map(t => t -> dirBytes(dir.resolve(t))).toMap
     val partBytes =
       if (!partitioned) Map.empty[String, Map[Int, Long]]
-      else SalesTables.map { t =>
-        val pfx = prefixOf(t)
-        t -> (FirstYear to LastYear).map { y =>
-          y -> dirBytes(dir.resolve(t).resolve(s"${yearColumn(pfx)}=$y"))
+      else Channels.map { c =>
+        c.table -> (FirstYear to LastYear).map { y =>
+          y -> dirBytes(dir.resolve(c.table).resolve(s"${c.yearCol}=$y"))
         }.toMap
       }.toMap
     Dataset(if (partitioned) "TPC-DSp" else "TPC-DS", dir, partitioned, tableBytes, partBytes)

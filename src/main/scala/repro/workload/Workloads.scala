@@ -1,6 +1,7 @@
 package repro.workload
 
 import repro.core.{Dag, MvNode}
+import repro.workload.TpcDsLite.{Channel, Channels}
 
 /** One MV update (a dependency-graph node): a SQL statement over base
   * tables and previously refreshed MVs.
@@ -69,30 +70,11 @@ final case class Workload(key: String, title: String, tpcdsQueries: String, mvs:
   */
 object Workloads {
 
-  /** Sales-channel column mapping (store / catalog / web fact tables). */
-  final case class Channel(key: String, table: String, prefix: String,
-                           date: String, item: String, cust: String,
-                           qty: String, price: String, profit: String) {
-    def yearCol: String = TpcDsLite.yearColumn(prefix)
-  }
-
-  val store: Channel = Channel("store", "store_sales", "ss",
-    "ss_sold_date_sk", "ss_item_sk", "ss_customer_sk",
-    "ss_quantity", "ss_ext_sales_price", "ss_net_profit")
-  val catalog: Channel = Channel("catalog", "catalog_sales", "cs",
-    "cs_sold_date_sk", "cs_item_sk", "cs_bill_customer_sk",
-    "cs_quantity", "cs_ext_sales_price", "cs_net_profit")
-  val web: Channel = Channel("web", "web_sales", "ws",
-    "ws_sold_date_sk", "ws_item_sk", "ws_bill_customer_sk",
-    "ws_quantity", "ws_ext_sales_price", "ws_net_profit")
-
-  val channels: Vector[Channel] = Vector(store, catalog, web)
-
   private val Dec = "DECIMAL(18,2)"
 
   /** UNION ALL of one `sel(channel key)` statement per sales channel. */
   private def unionChannels(sel: String => String): String =
-    channels.map(c => sel(c.key)).mkString("\nUNION ALL\n")
+    Channels.map(c => sel(c.key)).mkString("\nUNION ALL\n")
 
   /** Wide extract: sales ⋈ date_dim. On the regular dataset it keeps
     * `keepYears` (or all years when None) for reuse by downstream filters;
@@ -119,7 +101,7 @@ object Workloads {
   // ----------------------------------------------------------------- I/O 1
   /** Profit report across channels (TPC-DS q5, q77, q80) — 21 nodes. */
   val io1: Workload = {
-    val perChannel = channels.flatMap { c =>
+    val perChannel = Channels.flatMap { c =>
       val k = c.key
       Vector(
         // Regular extract retains a 2-year window for reuse; TPC-DSp prunes
@@ -164,12 +146,12 @@ object Workloads {
         unionChannels(k =>
           s"SELECT '$k' AS channel, i_category AS i_category, sales_amt AS sales_amt, " +
           s"profit_amt AS profit_amt, cnt AS cnt FROM io1_${k}_cat_profit"),
-        parents = channels.map(c => s"io1_${c.key}_cat_profit")),
+        parents = Channels.map(c => s"io1_${c.key}_cat_profit")),
       MvSpec("io1_all_loss",
         unionChannels(k =>
           s"SELECT '$k' AS channel, d_moy AS d_moy, loss_amt AS loss_amt, cnt AS cnt " +
           s"FROM io1_${k}_loss_by_month"),
-        parents = channels.map(c => s"io1_${c.key}_loss_by_month")),
+        parents = Channels.map(c => s"io1_${c.key}_loss_by_month")),
       MvSpec("io1_profit_report",
         s"""SELECT i_category AS i_category,
            |       SUM(CAST(sales_amt AS $Dec)) AS total_sales,
@@ -184,7 +166,7 @@ object Workloads {
   // ----------------------------------------------------------------- I/O 2
   /** Year-over-year sales comparison (TPC-DS q2, q59, q74, q75) — 19 nodes. */
   val io2: Workload = {
-    val perChannel = channels.flatMap { c =>
+    val perChannel = Channels.flatMap { c =>
       val k = c.key
       Vector(
         // One wide two-year extract per channel, reused by three aggregate
@@ -244,7 +226,7 @@ object Workloads {
   // ----------------------------------------------------------------- I/O 3
   /** Best/worst performers and loss ratios (TPC-DS q44, q49) — 26 nodes. */
   val io3: Workload = {
-    val perChannel = channels.flatMap { c =>
+    val perChannel = Channels.flatMap { c =>
       val k = c.key
       Vector(
         extract(s"io3_${k}_base", c, keepYears = Some(Seq(1999, 2000)), partYears = Seq(2000)),
@@ -293,7 +275,7 @@ object Workloads {
         unionChannels(k =>
           s"SELECT '$k' AS channel, item_sk AS item_sk, pos_amt AS pos_amt, " +
           s"loss_amt AS loss_amt FROM io3_${k}_worst"),
-        parents = channels.map(c => s"io3_${c.key}_worst")),
+        parents = Channels.map(c => s"io3_${c.key}_worst")),
       MvSpec("io3_worst_report",
         s"""SELECT i.i_category AS i_category, COUNT(*) AS item_cnt,
            |       SUM(CAST(w.loss_amt AS $Dec)) AS total_loss
@@ -309,7 +291,7 @@ object Workloads {
     * (TPC-DS q33, q56, q60, q61) — 21 nodes, highly selective filters.
     */
   val compute1: Workload = {
-    val perChannel = channels.flatMap { c =>
+    val perChannel = Channels.flatMap { c =>
       val k = c.key
       val jan =
         s"""SELECT ${c.item} AS item_sk, ${c.cust} AS customer_sk,
@@ -359,7 +341,7 @@ object Workloads {
         unionChannels(k =>
           s"SELECT '$k' AS channel, i_manufact_id AS i_manufact_id, sales_amt AS sales_amt, " +
           s"qty_sum AS qty_sum, cnt AS cnt FROM c1_${k}_manu_agg"),
-        parents = channels.map(c => s"c1_${c.key}_manu_agg")),
+        parents = Channels.map(c => s"c1_${c.key}_manu_agg")),
       MvSpec("c1_manu_report",
         s"""SELECT i_manufact_id AS i_manufact_id,
            |       SUM(CAST(sales_amt AS $Dec)) AS total_sales,
@@ -370,7 +352,7 @@ object Workloads {
         unionChannels(k =>
           s"SELECT '$k' AS channel, c_state AS c_state, sales_amt AS sales_amt, " +
           s"cnt AS cnt FROM c1_${k}_state_agg"),
-        parents = channels.map(c => s"c1_${c.key}_state_agg")),
+        parents = Channels.map(c => s"c1_${c.key}_state_agg")),
     )
     Workload("c1", "Compute 1", "33, 56, 60, 61", perChannel ++ cross)
   }
@@ -385,7 +367,7 @@ object Workloads {
     // but non-degenerate at every scale factor.
     val freqThreshold = Map("store" -> 18, "catalog" -> 9, "web" -> 4)
     val qtyThreshold  = Map("store" -> 180, "catalog" -> 90, "web" -> 40)
-    val perChannel = channels.flatMap { c =>
+    val perChannel = Channels.flatMap { c =>
       val k = c.key
       val recentProj =
         s"""SELECT ${c.item} AS item_sk, ${c.cust} AS customer_sk,
@@ -428,7 +410,7 @@ object Workloads {
         unionChannels(k =>
           s"SELECT '$k' AS channel, customer_sk AS customer_sk, sales_amt AS sales_amt, " +
           s"cnt AS cnt FROM c2_${k}_filtered"),
-        parents = channels.map(c => s"c2_${c.key}_filtered")),
+        parents = Channels.map(c => s"c2_${c.key}_filtered")),
       MvSpec("c2_cross_best",
         s"""SELECT customer_sk AS customer_sk, SUM(CAST(sales_amt AS $Dec)) AS total_sales,
            |       SUM(CAST(cnt AS BIGINT)) AS total_cnt

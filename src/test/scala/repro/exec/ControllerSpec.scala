@@ -10,7 +10,7 @@ import org.apache.spark.sql.execution.datasources.InsertIntoHadoopFsRelationComm
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.core.{AlternatingOpt, Plan}
-import repro.workload.{Metadata, MvSpec, TestData, Workload, Workloads}
+import repro.workload.{Metadata, MvSpec, TestData, TpcDsLite, Workload, Workloads}
 
 class ControllerSpec extends SparkSpec {
 
@@ -27,6 +27,13 @@ class ControllerSpec extends SparkSpec {
     val names = wl.mvs.map(_.name.toLowerCase).toSet
     spark.catalog.listTables().collect().toSeq
       .filter(t => t.isTemporary && names(t.name.toLowerCase)).map(_.name)
+  }
+
+  /** The run totals are the per-node values summed in node order. */
+  private def assertTotalsSumNodes(r: RunReport): Unit = {
+    assert(r.tableReadMs == r.nodes.foldLeft(0.0)((s, n) => s + (n.baseReadMs + n.parentReadMs)))
+    assert(r.computeMs == r.nodes.foldLeft(0.0)(_ + _.execMs))
+    assert(r.writeForegroundMs == r.nodes.foldLeft(0.0)(_ + _.writeDelayMs))
   }
 
   private lazy val baseline: (RunReport, java.nio.file.Path) = {
@@ -174,6 +181,7 @@ class ControllerSpec extends SparkSpec {
     assert(report.tableReadMs > 0)
     assert(report.writeForegroundMs > 0)
     assert(report.queryMs == report.tableReadMs + report.computeMs)
+    assertTotalsSumNodes(report)
   }
 
   test("short-circuiting removes parent read delays for flagged parents") {
@@ -190,6 +198,7 @@ class ControllerSpec extends SparkSpec {
     assert(opt.tableReadMs < noOpt.tableReadMs,
       f"optimized read ${opt.tableReadMs}%.0f not below ${noOpt.tableReadMs}%.0f")
     assert(opt.writeForegroundMs < noOpt.writeForegroundMs)
+    Seq(noOpt, opt).foreach(assertTotalsSumNodes)
   }
 
   test("works on the partitioned dataset with partition-pruned extracts") {
@@ -207,7 +216,7 @@ class ControllerSpec extends SparkSpec {
       .runBaseline(Workloads.io1)
     val part = new Controller(spark, dsp, ExecConfig(0L, None, TestData.freshOutDir("i1p")))
       .runBaseline(Workloads.io1)
-    Workloads.channels.foreach { c =>
+    TpcDsLite.Channels.foreach { c =>
       val name = s"io1_${c.key}_extract"
       assert(part.sizes(name) < reg.sizes(name),
         s"$name: ${part.sizes(name)} !< ${reg.sizes(name)}")

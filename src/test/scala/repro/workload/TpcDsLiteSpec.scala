@@ -1,11 +1,46 @@
 package repro.workload
 
+import java.nio.file.Files
+import java.security.MessageDigest
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.functions.{col, count, hash, lit, sum}
 import repro.SparkSpec
 
 class TpcDsLiteSpec extends SparkSpec {
 
   lazy val ds = TestData.regular(spark)
   lazy val dsp = TestData.partitioned(spark)
+
+  /** Per table of `d`: the column list, the row count, an order-independent
+    * sum of the row hashes and the partition directories.
+    */
+  private def tableDigests(d: Dataset): Seq[String] = TpcDsLite.AllTables.map { t =>
+    val df = spark.read.parquet(d.tablePath(t))
+    val r = df.agg(count(lit(1)), sum(hash(df.columns.toSeq.map(col): _*).cast("long"))).head()
+    val parts = {
+      val s = Files.list(d.dir.resolve(t))
+      try s.iterator.asScala.filter(Files.isDirectory(_)).map(_.getFileName.toString).toVector.sorted
+      finally s.close()
+    }
+    s"$t ${df.columns.mkString(",")} ${r.getLong(0)} ${r.getLong(1)} ${parts.mkString(",")}"
+  }
+
+  test("generated tables are unchanged bit for bit") {
+    // rand(seed) restarts per Spark partition, so the rows depend on how
+    // many partitions spark.range splits into (by default, the cores).
+    // Pinning that count makes the digest hold on any machine.
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    spark.conf.set(key, "4")
+    val md = MessageDigest.getInstance("SHA-256")
+    try {
+      Seq(false, true).foreach { p =>
+        val d = TpcDsLite.generate(spark, TestData.dir.resolve(s"digest-$p"), TestData.SF, p)
+        tableDigests(d).foreach(line => md.update((line + "\n").getBytes("UTF-8")))
+      }
+    } finally spark.conf.unset(key)
+    val hex = md.digest().map(b => f"$b%02x").mkString
+    assert(hex == "c32957e978a79f9b80a4a0cfa67deb5f5605234d724017ed51d4211b5a276938")
+  }
 
   test("all tables exist with bytes on disk") {
     TpcDsLite.AllTables.foreach { t =>
@@ -14,8 +49,8 @@ class TpcDsLiteSpec extends SparkSpec {
   }
 
   test("row counts scale with the scale factor") {
-    val small = TpcDsLite.storeSales(spark, 0.001).count()
-    val large = TpcDsLite.storeSales(spark, 0.002).count()
+    val small = TpcDsLite.table(spark, "store_sales", 0.001).count()
+    val large = TpcDsLite.table(spark, "store_sales", 0.002).count()
     assert(large == 2 * small)
   }
 
@@ -33,14 +68,14 @@ class TpcDsLiteSpec extends SparkSpec {
   }
 
   test("generators are deterministic") {
-    val a = TpcDsLite.storeSales(spark, 0.001).collect().map(_.toString).sorted
-    val b = TpcDsLite.storeSales(spark, 0.001).collect().map(_.toString).sorted
+    val a = TpcDsLite.table(spark, "store_sales", 0.001).collect().map(_.toString).sorted
+    val b = TpcDsLite.table(spark, "store_sales", 0.001).collect().map(_.toString).sorted
     assert(a.sameElements(b))
   }
 
   test("sales foreign keys land in dimension ranges") {
     import org.apache.spark.sql.functions._
-    val ss = TpcDsLite.storeSales(spark, TestData.SF)
+    val ss = TpcDsLite.table(spark, "store_sales", TestData.SF)
     val nItems = TpcDsLite.item(spark, TestData.SF).count()
     val bad = ss.filter(col("ss_item_sk") < 1 || col("ss_item_sk") > nItems)
       .union(ss.filter(col("ss_sold_date_sk") < 1 || col("ss_sold_date_sk") > TpcDsLite.NDays))

@@ -71,7 +71,7 @@ class WorkloadOracleSpec extends SparkSpec {
 
   // Cross-dataset invariant: extract nodes with a year filter on both
   // variants produce identical rows on TPC-DS and TPC-DSp.
-  for (c <- Workloads.channels) {
+  for (c <- TpcDsLite.Channels) {
     test(s"io2 ${c.key} extract equal across TPC-DS and TPC-DSp") {
       val mv = Workloads.io2.byName(s"io2_${c.key}_extract")
       baseDfs.foreach { case (t, d) => d.createOrReplaceTempView(t) }

@@ -1,5 +1,6 @@
 package repro.workload
 
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Structural checks on the five Table III workloads (no Spark needed). */
@@ -17,6 +18,16 @@ class WorkloadsSpec extends AnyFunSuite {
     assert(Workloads.io3.tpcdsQueries == "44, 49")
     assert(Workloads.compute1.tpcdsQueries == "33, 56, 60, 61")
     assert(Workloads.compute2.tpcdsQueries == "14, 23")
+  }
+
+  test("workload SQL is unchanged bit for bit") {
+    val md = MessageDigest.getInstance("SHA-256")
+    Workloads.all.foreach(_.mvs.foreach { mv =>
+      Seq(mv.name, mv.sql, mv.sqlPartitioned, mv.parents, mv.baseTables,
+        mv.partitionYears.toSeq.sortBy(_._1)).foreach(x => md.update((x.toString + "\n").getBytes("UTF-8")))
+    })
+    val hex = md.digest().map(b => f"$b%02x").mkString
+    assert(hex == "1b46d5ed4dcb24ef29d448729495faf85ba3e17a95eaff06377bdbbed2301df5")
   }
 
   test("MV names are globally unique across workloads") {
@@ -81,7 +92,7 @@ class WorkloadsSpec extends AnyFunSuite {
     Workloads.all.foreach(w => w.mvs.foreach { mv =>
       mv.sqlPartitioned.foreach { sql =>
         assert(mv.partitionYears.keys.exists(t =>
-          sql.contains(Workloads.channels.find(_.table == t).get.yearCol)),
+          sql.contains(TpcDsLite.Channels.find(_.table == t).get.yearCol)),
           s"${mv.name}: partitioned SQL lacks a year-column filter")
       }
     })
