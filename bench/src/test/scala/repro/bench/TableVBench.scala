@@ -35,7 +35,7 @@ class TableVBench extends AnyFunSuite {
     // The paper's Table V claim: speedup consistent across cluster sizes.
     rows.foreach(r => assert(math.abs(r.speedup - rows.head.speedup) < 0.05))
     // Runtime strictly decreases with workers, sublinearly.
-    rows.sliding(2).foreach { case Vector(a, b) =>
+    rows.zip(rows.tail).foreach { case (a, b) =>
       assert(b.noOptMs < a.noOptMs && b.scMs < a.scMs)
     }
     assert(rows.last.noOptMs > rows.head.noOptMs / 5)

@@ -22,7 +22,7 @@ object RunWorkload {
     val part   = args.lift(4).exists(_.toBoolean)
 
     val spark = SparkSession.builder().appName("sc-run-workload")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
+      .config(Controller.SparkSettings).getOrCreate()
     val workload = Workloads.all.find(_.key == wKey)
       .getOrElse(sys.error(s"unknown workload $wKey"))
 

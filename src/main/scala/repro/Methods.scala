@@ -27,17 +27,24 @@ object Methods {
   def budget(datasetBytes: Long, paperPct: Double): Long =
     (datasetBytes * paperPct * RegimeFactor / 100.0).toLong
 
+  /** Seed of the Random baseline. */
+  private val RandomSeed = 7L
+
   /** The plan of `name` ∈ no-opt | sc | greedy | random | ratio. The
-    * baselines keep the initial topological order, as in the paper. LRU has
-    * no plan: [[run]] runs it on the Controller's LRU cache policy.
+    * baselines keep Kahn's order and run one node-selection pass, as in the
+    * paper. LRU has no plan: [[run]] runs it on the Controller's LRU policy.
     */
-  def plan(name: String, dag: Dag, budget: Long): Plan = name match {
-    case "no-opt" => Plan(dag.topological, Set.empty)
-    case "sc"     => AlternatingOpt.solve(dag, budget).plan
-    case "greedy" => AlternatingOpt.singleShot(dag, budget, NodeBaselines.greedy)
-    case "random" => AlternatingOpt.singleShot(dag, budget, NodeBaselines.random(_, _, _, seed = 7))
-    case "ratio"  => AlternatingOpt.singleShot(dag, budget, NodeBaselines.ratio)
-    case other    => throw new IllegalArgumentException(s"unknown method $other")
+  def plan(name: String, dag: Dag, budget: Long): Plan = {
+    lazy val kahn = dag.topological
+    def onePass(nodes: (Dag, Long, Vector[Int]) => Set[Int]) = Plan(kahn, nodes(dag, budget, kahn))
+    name match {
+      case "no-opt" => Plan(kahn, Set.empty)
+      case "sc"     => AlternatingOpt.solve(dag, budget).plan
+      case "greedy" => onePass(NodeBaselines.greedy)
+      case "random" => onePass(NodeBaselines.random(_, _, _, RandomSeed))
+      case "ratio"  => onePass(NodeBaselines.ratio)
+      case other    => throw new IllegalArgumentException(s"unknown method $other")
+    }
   }
 
   /** Refreshes `workload` on `controller` (catalog budget `budget`) with
@@ -56,7 +63,7 @@ object Methods {
     Vector(
       "MKP+MA-DFS"    -> sc,
       "Greedy+MA-DFS" -> sc.copy(nodes = NodeBaselines.greedy),
-      "Random+MA-DFS" -> sc.copy(nodes = NodeBaselines.random(_, _, _, 7)),
+      "Random+MA-DFS" -> sc.copy(nodes = NodeBaselines.random(_, _, _, RandomSeed)),
       "Ratio+MA-DFS"  -> sc.copy(nodes = NodeBaselines.ratio),
       "MKP+SA"        -> sc.copy(order = (d, u) => OrderBaselines.simulatedAnnealing(d, u, d.topological)),
       "MKP+Separator" -> sc.copy(order = OrderBaselines.separator),

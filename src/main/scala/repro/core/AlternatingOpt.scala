@@ -50,14 +50,4 @@ object AlternatingOpt {
     }
     Result(Plan(order, flagged), iter)
   }
-
-  /** Single-shot baseline plan: keep the initial topological order and run
-    * one node-selection pass (used for Greedy/Random/Ratio end-to-end runs,
-    * which in the paper do not reorder).
-    */
-  def singleShot(dag: Dag, memoryBudget: Long,
-                 nodes: (Dag, Long, Vector[Int]) => Set[Int]): Plan = {
-    val order = dag.topological
-    Plan(order, nodes(dag, memoryBudget, order))
-  }
 }

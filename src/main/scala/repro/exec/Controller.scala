@@ -256,3 +256,12 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     }
   }
 }
+
+object Controller {
+  /** Spark settings every session that runs a Controller is built with: no
+    * broadcast joins (every join takes the shuffle path) and FAIR scheduling
+    * (background writes run beside foreground MV statements).
+    */
+  val SparkSettings: Map[String, String] = Map(
+    "spark.sql.autoBroadcastJoinThreshold" -> "-1", "spark.scheduler.mode" -> "FAIR")
+}

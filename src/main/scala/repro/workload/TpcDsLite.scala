@@ -35,11 +35,11 @@ final case class Dataset(
     mv.baseTables.map(t => effectiveReadBytes(t, mv.partitionYears.get(t)))
 }
 
-/** Deterministic synthetic generator for a TPC-DS-shaped schema (§ VI-A).
+/** Synthetic TPC-DS-shaped generator (§ VI-A), deterministic in SF alone.
   *
   * Substitutes dsdgen (offline build, miniature scale): three sales fact
   * tables, date_dim spanning 1998–2002, item, customer and store dimensions.
-  * SF=1 is ~0.5 GB; tests use SF≈0.002, benches SF≈0.02–0.05. The
+  * SF 0.01 is ~1.8 MB of Parquet; tests use SF 0.002, benches SF 0.01. The
   * date-partitioned variant mirrors the paper's TPC-DSp: the sales tables
   * are partitioned by sold year (`*_sold_year`), enabling real partition
   * pruning in Spark and partition-aware read-cost modeling.
@@ -84,12 +84,18 @@ object TpcDsLite {
   private val NCustomerPerSf = 200_000L
   private val NItemPerSf     =  40_000L
 
+  /** Partitions of every table. `rand(seed)` restarts in each partition, so a
+    * fixed count keeps rows and files independent of the host's cores (4 was
+    * a 4-core host's default).
+    */
+  private val Partitions = 4
+
   private def n(base: Long, sf: Double): Long = math.max(10L, (base * sf).toLong)
   private def nStore(sf: Double): Long = math.max(4L, (50 * sf).toLong)
 
   def dateDim(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    spark.range(1, NDays + 1).toDF("d_date_sk").select(
+    spark.range(1, NDays + 1, 1, Partitions).toDF("d_date_sk").select(
       $"d_date_sk",
       date_add(lit(s"$FirstYear-01-01").cast(DateType), ($"d_date_sk" - 1).cast(IntegerType))
         .cast(StringType) as "d_date",
@@ -105,7 +111,7 @@ object TpcDsLite {
   def item(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     val seed = 11L
-    spark.range(1, n(NItemPerSf, sf) + 1).toDF("i_item_sk").select(
+    spark.range(1, n(NItemPerSf, sf) + 1, 1, Partitions).toDF("i_item_sk").select(
       $"i_item_sk",
       concat(lit("ITEM"), $"i_item_sk")                           as "i_item_id",
       concat(lit("Category"), ($"i_item_sk" % 10))                as "i_category",
@@ -119,7 +125,7 @@ object TpcDsLite {
   def customer(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     val seed = 13L
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_customer_sk").select(
+    spark.range(1, n(NCustomerPerSf, sf) + 1, 1, Partitions).toDF("c_customer_sk").select(
       $"c_customer_sk",
       concat(lit("CUST"), $"c_customer_sk")                       as "c_customer_id",
       concat(lit("ST"), (rand(seed) * 20).cast(IntegerType))      as "c_state",
@@ -130,7 +136,7 @@ object TpcDsLite {
   def store(spark: SparkSession, sf: Double): DataFrame = {
     import spark.implicits._
     val seed = 17L
-    spark.range(1, nStore(sf) + 1).toDF("s_store_sk").select(
+    spark.range(1, nStore(sf) + 1, 1, Partitions).toDF("s_store_sk").select(
       $"s_store_sk",
       concat(lit("STORE"), $"s_store_sk")                         as "s_store_id",
       concat(lit("ST"), (rand(seed) * 10).cast(IntegerType))      as "s_state",
@@ -140,7 +146,7 @@ object TpcDsLite {
   /** The fact table of channel `c`; store sales also carry `ss_store_sk`. */
   def sales(spark: SparkSession, c: Channel, sf: Double): DataFrame = {
     val seed = c.seed
-    val base = spark.range(n(c.rowsPerSf, sf)).select(
+    val base = spark.range(0, n(c.rowsPerSf, sf), 1, Partitions).select(
       (rand(seed)     * NDays + 1).cast(LongType)                 as c.date,
       (rand(seed + 1) * n(NItemPerSf, sf) + 1).cast(LongType)     as c.item,
       (rand(seed + 2) * n(NCustomerPerSf, sf) + 1).cast(LongType) as c.cust,

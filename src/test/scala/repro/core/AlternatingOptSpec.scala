@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Methods
 
 class AlternatingOptSpec extends AnyFunSuite {
 
@@ -94,9 +95,11 @@ class AlternatingOptSpec extends AnyFunSuite {
       f"S/C total $scTotal%.1f below best ablated $bestAblated%.1f")
   }
 
-  test("singleShot keeps the topological order") {
-    val p = AlternatingOpt.singleShot(fig7, 100, NodeBaselines.greedy)
-    assert(p.order == fig7.topological)
-    assert(Plan.isFeasible(fig7, p, 100))
+  test("single-pass baselines keep the topological order") {
+    Seq("greedy", "random", "ratio").foreach { m =>
+      val p = Methods.plan(m, fig7, 100)
+      assert(p.order == fig7.topological, m)
+      assert(Plan.isFeasible(fig7, p, 100), m)
+    }
   }
 }

@@ -26,20 +26,25 @@ class TpcDsLiteSpec extends SparkSpec {
   }
 
   test("generated tables are unchanged bit for bit") {
-    // rand(seed) restarts per Spark partition, so the rows depend on how
-    // many partitions spark.range splits into (by default, the cores).
-    // Pinning that count makes the digest hold on any machine.
-    val key = "spark.sql.leafNodeDefaultParallelism"
-    spark.conf.set(key, "4")
     val md = MessageDigest.getInstance("SHA-256")
-    try {
-      Seq(false, true).foreach { p =>
-        val d = TpcDsLite.generate(spark, TestData.dir.resolve(s"digest-$p"), TestData.SF, p)
-        tableDigests(d).foreach(line => md.update((line + "\n").getBytes("UTF-8")))
-      }
-    } finally spark.conf.unset(key)
+    Seq(ds, dsp).foreach(d => tableDigests(d).foreach(line => md.update((line + "\n").getBytes("UTF-8"))))
     val hex = md.digest().map(b => f"$b%02x").mkString
     assert(hex == "c32957e978a79f9b80a4a0cfa67deb5f5605234d724017ed51d4211b5a276938")
+  }
+
+  test("generated data do not depend on the Spark parallelism") {
+    // spark.range splits into this many partitions unless told otherwise;
+    // by default it is the host's core count.
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    def generate(par: Int): Seq[Dataset] = {
+      spark.conf.set(key, par.toString)
+      try Seq(false, true).map { p =>
+        TpcDsLite.generate(spark, TestData.dir.resolve(s"par$par-$p"), TestData.SF, p)
+      } finally spark.conf.unset(key)
+    }
+    val (one, three) = (generate(1), generate(3))
+    one.zip(three).foreach { case (a, b) => assert(tableDigests(a) == tableDigests(b), a.name) }
+    assert(one.head.tableBytes == three.head.tableBytes)
   }
 
   test("all tables exist with bytes on disk") {
