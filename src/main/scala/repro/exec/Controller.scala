@@ -2,10 +2,12 @@ package repro.exec
 
 import java.nio.file.{Files, Path}
 import java.util.concurrent.Executors
+import java.util.concurrent.locks.LockSupport
 import scala.collection.mutable
 import scala.concurrent.duration.Duration
 import scala.concurrent.{Await, ExecutionContext, Future}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.storage.StorageLevel
 import repro.core.Plan
 import repro.workload.{Dataset, MvSpec, TpcDsLite, Workload}
@@ -66,16 +68,13 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
   private def mvPath(name: String): Path = cfg.outDir.resolve(name)
 
-  private def delay(ms: Double): Unit =
-    if (ms >= 1.0) Thread.sleep(ms.toLong)
-
   private def write(df: DataFrame, name: String): Unit =
     df.write.mode("overwrite").parquet(mvPath(name).toString)
 
   /** Charges (and sleeps for) the modeled write of `bytes`. */
   private def chargeWrite(bytes: Long): Double = {
     val w = nfs.writeMs(bytes)
-    delay(w)
+    Controller.sleep(w)
     w
   }
 
@@ -169,24 +168,28 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
                      (loop: Steps => Long): RunReport = {
     Files.createDirectories(cfg.outDir)
     TpcDsLite.registerViews(spark, dataset)
-    val steps = new Steps(sizes)
+    val steps = new Steps(sizes, method)
     try {
       val peak = loop(steps)
-      steps.report(workload, method, peak)
+      steps.report(workload, peak)
     } finally steps.close()
   }
 
   /** The per-node steps of one refresh, with the modeled NFS charges, and
-    * the reports and resources they accumulate.
+    * the reports and resources they accumulate. Spark work of each node,
+    * background write included, carries the job description
+    * "`method` `mv`".
     */
-  private final class Steps(sizes: Map[String, Long]) {
+  private final class Steps(sizes: Map[String, Long], method: String) {
     // One materialization channel, as in § III-C / Fig 6: background
     // writes go to storage one at a time, in parallel with downstream
     // execution (the timeline simulator models the same single channel).
     private val writePool = Executors.newFixedThreadPool(1)
     private implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
+    private val sc = spark.sparkContext
     private val bgWrites = mutable.Map.empty[String, Future[Double]]
     private val persisted = mutable.Buffer.empty[DataFrame]
+    private val schemas = mutable.Map.empty[String, StructType] // by MV, of the statement run
     private val views = mutable.Set.empty[String] // parent MV temp views registered
     private val nodeReports = Vector.newBuilder[NodeReport]
     private val t0 = System.nanoTime()
@@ -195,12 +198,16 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
     /** Refreshes `mv` and returns its statement's DataFrame. A parent that
       * `cached` holds is bound from memory, any other is a charged Parquet
-      * read of its output. The statement is persisted first when `persist`.
-      * When `background`, a count fills it and its storage write runs off
-      * the critical path; otherwise it is written and charged at once.
+      * read of its output, bound with the schema of the statement that
+      * wrote it. When `persist`, the returned DataFrame is the statement's
+      * rows cached on the partitions AQE chose for it. When `background`, a
+      * count fills the cache and the storage write runs off the critical
+      * path; otherwise the MV is written and charged at once.
       */
     def node(mv: MvSpec, cached: String => Option[DataFrame],
              persist: Boolean, background: Boolean): DataFrame = {
+      val desc = s"$method ${mv.name}"
+      sc.setJobDescription(desc)
       val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
       var parentRead = 0.0
       mv.parents.foreach { p =>
@@ -208,24 +215,35 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         cached(p) match {
           case Some(df) => df.createOrReplaceTempView(p)
           case None =>
-            spark.read.parquet(mvPath(p).toString).createOrReplaceTempView(p)
+            spark.read.schema(schemas(p)).parquet(mvPath(p).toString).createOrReplaceTempView(p)
             parentRead += nfs.readMs(outBytes(p))
         }
       }
-      delay(baseRead + parentRead)
+      Controller.sleep(baseRead + parentRead)
 
       val tExec0 = System.nanoTime()
-      val df = spark.sql(mv.sqlFor(dataset.partitioned))
-      if (persist) {
+      val stmt = spark.sql(mv.sqlFor(dataset.partitioned))
+      schemas(mv.name) = stmt.schema
+      val df = if (!persist) stmt else {
+        // Persisting `stmt` would cache its plan as it stands before AQE
+        // coalesces the shuffle partitions, and every child and the write
+        // would run one task per uncoalesced partition. `stmt.rdd` runs
+        // the statement's shuffle stages and ends on AQE's partitions; the
+        // entry caches them when first read.
+        val entry = spark.createDataFrame(stmt.rdd, stmt.schema)
         // Registered before the persist, so close() unpersists it even when
         // the action that fills the cache fails.
-        persisted += df
-        df.persist(StorageLevel.MEMORY_ONLY)
+        persisted += entry
+        entry.persist(StorageLevel.MEMORY_ONLY)
       }
       if (background) df.count() else write(df, mv.name)
       val execMs = (System.nanoTime() - tExec0) / 1e6
       val bytes = outBytes(mv.name)
-      if (background) bgWrites(mv.name) = Future { write(df, mv.name); chargeWrite(bytes) }
+      if (background) bgWrites(mv.name) = Future {
+        sc.setJobDescription(desc)
+        write(df, mv.name)
+        chargeWrite(bytes)
+      }
       val writeDelay = if (background) 0.0 else chargeWrite(bytes)
       nodeReports += NodeReport(mv.name, background, bytes, baseRead, parentRead, execMs, writeDelay)
       df
@@ -238,7 +256,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       bgWrites(name).onComplete(_ => df.unpersist(false))
 
     /** All MVs count as refreshed only once materialized on storage. */
-    def report(workload: Workload, method: String, peak: Long): RunReport = {
+    def report(workload: Workload, peak: Long): RunReport = {
       val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
       val endToEnd = (System.nanoTime() - t0) / 1e6
       RunReport(workload.key, dataset.name, method, endToEnd, bgDelays.sum, peak,
@@ -246,6 +264,7 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     }
 
     def close(): Unit = {
+      sc.setJobDescription(null)
       // On failure too, no background write may outlive the run.
       bgWrites.values.foreach(Await.ready(_, Duration.Inf))
       persisted.foreach(_.unpersist(false)) // idempotent after a release or eviction
@@ -264,4 +283,17 @@ object Controller {
     */
   val SparkSettings: Map[String, String] = Map(
     "spark.sql.autoBroadcastJoinThreshold" -> "-1", "spark.scheduler.mode" -> "FAIR")
+
+  /** Sleeps `ms` milliseconds, to the nanosecond: a modeled NFS charge is
+    * slept in full, however small or fractional.
+    */
+  private[exec] def sleep(ms: Double): Unit = {
+    val end = System.nanoTime() + (ms * 1e6).toLong
+    var left = end - System.nanoTime()
+    while (left > 0) {
+      LockSupport.parkNanos(left)
+      if (Thread.interrupted()) throw new InterruptedException
+      left = end - System.nanoTime()
+    }
+  }
 }

@@ -12,6 +12,8 @@ import org.apache.spark.sql.types._
   * @param partitioned    true for the date-partitioned variant (TPC-DSp)
   * @param tableBytes     on-disk bytes of each table
   * @param partitionBytes for partitioned sales tables: table → year → bytes
+  * @param schemas        Spark schema of each table as read from its Parquet,
+  *                       partition column last
   */
 final case class Dataset(
     name: String,
@@ -19,6 +21,7 @@ final case class Dataset(
     partitioned: Boolean,
     tableBytes: Map[String, Long],
     partitionBytes: Map[String, Map[Int, Long]],
+    schemas: Map[String, StructType],
 ) {
   def totalBytes: Long = tableBytes.values.sum
   def tablePath(table: String): String = dir.resolve(table).toString
@@ -204,10 +207,16 @@ object TpcDsLite {
           y -> dirBytes(dir.resolve(c.table).resolve(s"${c.yearCol}=$y"))
         }.toMap
       }.toMap
-    Dataset(if (partitioned) "TPC-DSp" else "TPC-DS", dir, partitioned, tableBytes, partBytes)
+    // Inferred once here; every later bind reuses it and starts no job.
+    val schemas = AllTables.map(t => t -> spark.read.parquet(dir.resolve(t).toString).schema).toMap
+    Dataset(if (partitioned) "TPC-DSp" else "TPC-DS", dir, partitioned, tableBytes, partBytes, schemas)
   }
 
-  /** Register every base table of `ds` as a Spark temp view. */
+  /** Register every base table of `ds` as a Spark temp view, bound with its
+    * known schema: no Spark job infers it again.
+    */
   def registerViews(spark: SparkSession, ds: Dataset): Unit =
-    AllTables.foreach(t => spark.read.parquet(ds.tablePath(t)).createOrReplaceTempView(t))
+    AllTables.foreach { t =>
+      spark.read.schema(ds.schemas(t)).parquet(ds.tablePath(t)).createOrReplaceTempView(t)
+    }
 }

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.Properties
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,32 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` and returns its result with the local properties of every
+    * Spark job started meanwhile, in start order.
+    */
+  def withJobs[A](body: => A): (A, Vector[Properties]) = {
+    val sc = spark.sparkContext
+    val sentinelGroup = "withJobs-sentinel"
+    val started = new ConcurrentLinkedQueue[Properties]()
+    val sentinel = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        val props = Option(e.properties).getOrElse(new Properties)
+        if (props.getProperty("spark.jobGroup.id") == sentinelGroup) sentinel.countDown()
+        else started.add(props)
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      // Listener events arrive in order; a sentinel job marks the end.
+      sc.setJobGroup(sentinelGroup, "end of withJobs")
+      try spark.range(1).collect() finally sc.clearJobGroup()
+      assert(sentinel.await(30, TimeUnit.SECONDS), "listener saw no sentinel job")
+      (a, started.asScala.toVector)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

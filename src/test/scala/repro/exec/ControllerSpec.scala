@@ -1,12 +1,15 @@
 package repro.exec
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
-import org.apache.spark.sql.execution.datasources.InsertIntoHadoopFsRelationCommand
+import org.apache.spark.sql.execution.datasources.{HadoopFsRelation, InsertIntoHadoopFsRelationCommand,
+  LogicalRelation}
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
 import repro.core.{AlternatingOpt, Plan}
@@ -34,6 +37,24 @@ class ControllerSpec extends SparkSpec {
     assert(r.tableReadMs == r.nodes.foldLeft(0.0)((s, n) => s + (n.baseReadMs + n.parentReadMs)))
     assert(r.computeMs == r.nodes.foldLeft(0.0)(_ + _.execMs))
     assert(r.writeForegroundMs == r.nodes.foldLeft(0.0)(_ + _.writeDelayMs))
+  }
+
+  /** io1 under no-opt, and its S/C plan at a budget that flags several MVs. */
+  private lazy val io1Base: (RunReport, Path) = {
+    val out = TestData.freshOutDir("io1-base")
+    (new Controller(spark, ds, ExecConfig(0L, None, out)).runBaseline(Workloads.io1), out)
+  }
+  private lazy val io1Plan: Plan = {
+    val plan = AlternatingOpt.solve(
+      Metadata.dag(Workloads.io1, io1Base._1.sizes, NfsModel(1e9, 1e9, 0)), ds.totalBytes).plan
+    assert(plan.flagged.nonEmpty, "expected a nonempty flagged set")
+    plan
+  }
+  private def runIo1Sc(tag: String): Path = {
+    val out = TestData.freshOutDir(tag)
+    new Controller(spark, ds, ExecConfig(ds.totalBytes, None, out))
+      .run(Workloads.io1, io1Plan, io1Base._1.sizes)
+    out
   }
 
   private lazy val baseline: (RunReport, java.nio.file.Path) = {
@@ -275,5 +296,111 @@ class ControllerSpec extends SparkSpec {
     new Controller(spark, ds, ExecConfig(budget, None, TestData.freshOutDir("views-lru")))
       .runLru(w, calReport.sizes)
     assert(mvViews(w).isEmpty, "the LRU run left MV temp views behind")
+  }
+
+  test("flagged MVs are written in as many files as under no-opt") {
+    // A flagged MV is written from its cache entry: one file per cached
+    // partition. Cached before AQE coalesced its shuffle partitions, it
+    // would have up to one per spark.sql.shuffle.partitions.
+    val (_, noOptOut) = io1Base
+    val scOut = runIo1Sc("io1-files")
+    def partFiles(dir: Path, name: String): Int = {
+      val s = Files.list(dir.resolve(name))
+      try s.iterator.asScala.count(_.getFileName.toString.startsWith("part-"))
+      finally s.close()
+    }
+    io1Plan.flagged.foreach { i =>
+      val name = Workloads.io1.mvs(i).name
+      assert(partFiles(scOut, name) == partFiles(noOptOut, name), name)
+    }
+  }
+
+  test("every Spark job of a run names its method and MV") {
+    val names = Workloads.io1.mvs.map(_.name).toSet
+    io1Plan // its no-opt calibration run stays out of the jobs counted
+    val (driverDesc, jobs) = withJobs {
+      runIo1Sc("io1-tags")
+      spark.sparkContext.getLocalProperty("spark.job.description")
+    }
+    assert(driverDesc == null, "the driver thread kept a job description")
+    assert(jobs.nonEmpty)
+    jobs.map(p => Option(p.getProperty("spark.job.description"))).foreach { d =>
+      assert(d.exists(s => s.startsWith("sc ") && names(s.drop(3))), d)
+    }
+  }
+
+  test("parents read from Parquet are bound with the schema Spark infers") {
+    // Relation schema of each parent read under out, by output path.
+    val bound = new ConcurrentHashMap[String, StructType]()
+    val sentinel = new CountDownLatch(1)
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = qe.analyzed match {
+        case cmd: InsertIntoHadoopFsRelationCommand =>
+          cmd.query.collect { case lr: LogicalRelation => lr }.foreach { lr =>
+            lr.relation match {
+              case h: HadoopFsRelation =>
+                h.location.rootPaths.foreach(p => bound.put(p.toUri.getPath, lr.schema))
+              case _ =>
+            }
+          }
+        case _ => if (funcName == "collect") sentinel.countDown()
+      }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    val out = TestData.freshOutDir("io1-schemas")
+    spark.listenerManager.register(listener)
+    try {
+      new Controller(spark, ds, ExecConfig(0L, None, out)).runBaseline(Workloads.io1)
+      spark.range(1).collect()
+      assert(sentinel.await(30, TimeUnit.SECONDS), "listener saw no events")
+    } finally spark.listenerManager.unregister(listener)
+    val sdag = Workloads.io1.structuralDag
+    val parents = Workloads.io1.mvs.indices.filter(sdag.children(_).nonEmpty).map(Workloads.io1.mvs(_).name)
+    assert(parents.nonEmpty)
+    parents.foreach { name =>
+      val path = out.resolve(name).toString
+      assert(Option(bound.get(path)) == Some(spark.read.parquet(path).schema), name)
+    }
+  }
+
+  test("a flagged statement failing in a shuffle stage leaves nothing behind") {
+    // The GROUP BY's map stage evaluates the assertion: the statement fails
+    // before its Memory-Catalog entry is persisted.
+    val shuffled = Workload("fault4", "fault injection", "", Vector(
+      MvSpec("fault_f", "SELECT x, COUNT(*) AS cnt FROM " +
+        "(SELECT assert_true(d_date_sk < 0) AS x FROM date_dim) t GROUP BY x",
+        baseTables = Vector("date_dim")),
+      MvSpec("fault_g", "SELECT cnt FROM fault_f", parents = Vector("fault_f"))))
+    spark.catalog.clearCache()
+    val e = intercept[RuntimeException](
+      new Controller(spark, ds, ExecConfig(1L << 30, None, TestData.freshOutDir("fault4")))
+        .run(shuffled, Plan(Vector(0, 1), Set(0)), Map("fault_f" -> 1L)))
+    assert(e.getMessage.contains("is not true"), e.getMessage)
+    assert(spark.sharedState.cacheManager.isEmpty)
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+    assert(mvViews(shuffled).isEmpty, "MV temp views left behind")
+  }
+
+  test("a charged sleep lasts the full charge") {
+    // 20 charges of 1.7 ms each: truncation to whole milliseconds would
+    // sleep 20 ms.
+    val t0 = System.nanoTime()
+    (1 to 20).foreach(_ => Controller.sleep(1.7))
+    assert((System.nanoTime() - t0) / 1e6 >= 34.0)
+  }
+
+  test("a run's modeled charges fit in its measured wall time") {
+    val (calReport, _) = baseline
+    val nfs = NfsModel(readBytesPerMs = 50_000, writeBytesPerMs = 25_000, latencyMs = 0.3)
+    val budget = ds.totalBytes
+    val plan = AlternatingOpt.solve(Metadata.dag(w, calReport.sizes, nfs), budget).plan
+    assert(plan.flagged.nonEmpty)
+    val r = new Controller(spark, ds, ExecConfig(budget, Some(nfs), TestData.freshOutDir("wall")))
+      .run(w, plan, calReport.sizes)
+    // The driver thread sleeps the reads and foreground writes and runs the
+    // statements one after another; the writer thread sleeps the rest.
+    assert(r.tableReadMs + r.computeMs + r.writeForegroundMs <= r.endToEndMs)
+    assert(r.writeBackgroundMs > 0 && r.writeBackgroundMs <= r.endToEndMs)
   }
 }

@@ -129,4 +129,20 @@ class TpcDsLiteSpec extends SparkSpec {
       assert(spark.sql(s"SELECT * FROM $t LIMIT 1").collect().nonEmpty, s"$t view empty")
     }
   }
+
+  test("registerViews starts no Spark job") {
+    Seq(ds, dsp).foreach { d =>
+      val (_, jobs) = withJobs(TpcDsLite.registerViews(spark, d))
+      assert(jobs.size == 0, d.name)
+    }
+  }
+
+  test("registerViews binds every table with the schema Spark infers") {
+    Seq(ds, dsp).foreach { d =>
+      TpcDsLite.registerViews(spark, d)
+      TpcDsLite.AllTables.foreach { t =>
+        assert(spark.table(t).schema == spark.read.parquet(d.tablePath(t)).schema, s"${d.name} $t")
+      }
+    }
+  }
 }
