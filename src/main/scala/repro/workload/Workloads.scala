@@ -1,5 +1,7 @@
 package repro.workload
 
+import org.apache.spark.sql.catalyst.analysis.UnresolvedRelation
+import org.apache.spark.sql.catalyst.parser.CatalystSqlParser
 import repro.core.{Dag, MvNode}
 import repro.workload.TpcDsLite.{Channel, Channels}
 
@@ -12,8 +14,6 @@ import repro.workload.TpcDsLite.{Channel, Channels}
   *                       (TPC-DSp); defaults to `sql`. Extract nodes use a
   *                       partition filter here, which is what makes TPC-DSp
   *                       intermediates smaller (§ VI-A).
-  * @param parents        MV names this statement reads
-  * @param baseTables     base tables this statement reads
   * @param partitionYears per sales table, the years actually read — drives
   *                       partition-pruned read-cost modeling on TPC-DSp
   */
@@ -21,12 +21,24 @@ final case class MvSpec(
     name: String,
     sql: String,
     sqlPartitioned: Option[String] = None,
-    parents: Vector[String] = Vector.empty,
-    baseTables: Vector[String] = Vector.empty,
     partitionYears: Map[String, Seq[Int]] = Map.empty,
 ) {
+  /** The relations `sql` reads, each in order of first appearance: the
+    * base tables ([[TpcDsLite.AllTables]]) and the parents (every other
+    * name, which [[Workload]] requires to be an earlier MV).
+    */
+  val (baseTables, parents): (Vector[String], Vector[String]) =
+    MvSpec.relations(sql).partition(TpcDsLite.AllTables.contains)
+
   def sqlFor(partitioned: Boolean): String =
     if (partitioned) sqlPartitioned.getOrElse(sql) else sql
+}
+
+object MvSpec {
+  /** Distinct relations `sql` reads, by first appearance, as Spark's parser sees them. */
+  private[workload] def relations(sql: String): Vector[String] =
+    CatalystSqlParser.parsePlan(sql)
+      .collectWithSubqueries { case r: UnresolvedRelation => r.tableName }.distinct.toVector
 }
 
 /** A set of MVs refreshed together (one dependency graph / Table III row). */
@@ -36,7 +48,7 @@ final case class Workload(key: String, title: String, tpcdsQueries: String, mvs:
   mvs.zipWithIndex.foreach { case (m, i) =>
     m.parents.foreach { p =>
       val pi = mvs.indexWhere(_.name == p)
-      require(pi >= 0 && pi < i, s"$key/${m.name}: parent $p must be defined earlier")
+      require(pi >= 0 && pi < i, s"$key/${m.name}: reads $p, which is no base table or earlier MV")
     }
   }
 
@@ -93,9 +105,7 @@ object Workloads {
       case None     => proj
     }
     val part = s"$proj\nWHERE ${c.yearCol} IN (${partYears.mkString(", ")})"
-    MvSpec(name, regular, Some(part),
-      baseTables = Vector(c.table, "date_dim"),
-      partitionYears = Map(c.table -> partYears))
+    MvSpec(name, regular, Some(part), partitionYears = Map(c.table -> partYears))
   }
 
   // ----------------------------------------------------------------- I/O 1
@@ -113,52 +123,44 @@ object Workloads {
              |       e.ext_sales_price AS ext_sales_price, e.net_profit AS net_profit,
              |       e.d_moy AS d_moy, i.i_category AS i_category, i.i_brand AS i_brand
              |FROM io1_${k}_extract e JOIN item i ON e.item_sk = i.i_item_sk
-             |WHERE e.d_year = 2000""".stripMargin,
-          parents = Vector(s"io1_${k}_extract"), baseTables = Vector("item")),
+             |WHERE e.d_year = 2000""".stripMargin),
         MvSpec(s"io1_${k}_returns",
           s"""SELECT item_sk AS item_sk, customer_sk AS customer_sk,
              |       ext_sales_price AS ext_sales_price, net_profit AS net_profit, d_moy AS d_moy
              |FROM io1_${k}_extract
-             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) < 0""".stripMargin,
-          parents = Vector(s"io1_${k}_extract")),
+             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) < 0""".stripMargin),
         MvSpec(s"io1_${k}_cat_profit",
           s"""SELECT i_category AS i_category,
              |       SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       SUM(CAST(net_profit AS $Dec)) AS profit_amt,
              |       COUNT(*) AS cnt
-             |FROM io1_${k}_enriched GROUP BY i_category""".stripMargin,
-          parents = Vector(s"io1_${k}_enriched")),
+             |FROM io1_${k}_enriched GROUP BY i_category""".stripMargin),
         MvSpec(s"io1_${k}_brand_profit",
           s"""SELECT i_brand AS i_brand,
              |       SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       SUM(CAST(net_profit AS $Dec)) AS profit_amt,
              |       COUNT(*) AS cnt
-             |FROM io1_${k}_enriched GROUP BY i_brand""".stripMargin,
-          parents = Vector(s"io1_${k}_enriched")),
+             |FROM io1_${k}_enriched GROUP BY i_brand""".stripMargin),
         MvSpec(s"io1_${k}_loss_by_month",
           s"""SELECT d_moy AS d_moy, SUM(CAST(net_profit AS $Dec)) AS loss_amt, COUNT(*) AS cnt
-             |FROM io1_${k}_returns GROUP BY d_moy""".stripMargin,
-          parents = Vector(s"io1_${k}_returns")),
+             |FROM io1_${k}_returns GROUP BY d_moy""".stripMargin),
       )
     }
     val cross = Vector(
       MvSpec("io1_all_cat_profit",
         unionChannels(k =>
           s"SELECT '$k' AS channel, i_category AS i_category, sales_amt AS sales_amt, " +
-          s"profit_amt AS profit_amt, cnt AS cnt FROM io1_${k}_cat_profit"),
-        parents = Channels.map(c => s"io1_${c.key}_cat_profit")),
+          s"profit_amt AS profit_amt, cnt AS cnt FROM io1_${k}_cat_profit")),
       MvSpec("io1_all_loss",
         unionChannels(k =>
           s"SELECT '$k' AS channel, d_moy AS d_moy, loss_amt AS loss_amt, cnt AS cnt " +
-          s"FROM io1_${k}_loss_by_month"),
-        parents = Channels.map(c => s"io1_${c.key}_loss_by_month")),
+          s"FROM io1_${k}_loss_by_month")),
       MvSpec("io1_profit_report",
         s"""SELECT i_category AS i_category,
            |       SUM(CAST(sales_amt AS $Dec)) AS total_sales,
            |       SUM(CAST(profit_amt AS $Dec)) AS total_profit,
            |       SUM(CAST(cnt AS BIGINT)) AS total_cnt
-           |FROM io1_all_cat_profit GROUP BY i_category""".stripMargin,
-        parents = Vector("io1_all_cat_profit")),
+           |FROM io1_all_cat_profit GROUP BY i_category""".stripMargin),
     )
     Workload("io1", "I/O 1", "5, 77, 80", perChannel ++ cross)
   }
@@ -176,49 +178,41 @@ object Workloads {
         MvSpec(s"io2_${k}_agg99",
           s"""SELECT d_moy AS d_moy, SUM(CAST(ext_sales_price AS $Dec)) AS sales_99,
              |       COUNT(*) AS cnt_99
-             |FROM io2_${k}_extract WHERE d_year = 1999 GROUP BY d_moy""".stripMargin,
-          parents = Vector(s"io2_${k}_extract")),
+             |FROM io2_${k}_extract WHERE d_year = 1999 GROUP BY d_moy""".stripMargin),
         MvSpec(s"io2_${k}_agg00",
           s"""SELECT d_moy AS d_moy, SUM(CAST(ext_sales_price AS $Dec)) AS sales_00,
              |       COUNT(*) AS cnt_00
-             |FROM io2_${k}_extract WHERE d_year = 2000 GROUP BY d_moy""".stripMargin,
-          parents = Vector(s"io2_${k}_extract")),
+             |FROM io2_${k}_extract WHERE d_year = 2000 GROUP BY d_moy""".stripMargin),
         MvSpec(s"io2_${k}_monthly",
           s"""SELECT d_year AS d_year, d_moy AS d_moy,
              |       SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       SUM(CAST(quantity AS BIGINT)) AS qty_sum, COUNT(*) AS cnt
-             |FROM io2_${k}_extract GROUP BY d_year, d_moy""".stripMargin,
-          parents = Vector(s"io2_${k}_extract")),
+             |FROM io2_${k}_extract GROUP BY d_year, d_moy""".stripMargin),
         MvSpec(s"io2_${k}_yoy",
           s"""SELECT a.d_moy AS d_moy, a.sales_99 AS sales_99, a.cnt_99 AS cnt_99,
              |       b.sales_00 AS sales_00, b.cnt_00 AS cnt_00
-             |FROM io2_${k}_agg99 a JOIN io2_${k}_agg00 b ON a.d_moy = b.d_moy""".stripMargin,
-          parents = Vector(s"io2_${k}_agg99", s"io2_${k}_agg00")),
+             |FROM io2_${k}_agg99 a JOIN io2_${k}_agg00 b ON a.d_moy = b.d_moy""".stripMargin),
       )
     }
     val cross = Vector(
       MvSpec("io2_store_web",
         """SELECT s.d_moy AS d_moy, s.sales_99 AS store_99, s.sales_00 AS store_00,
           |       w.sales_99 AS web_99, w.sales_00 AS web_00
-          |FROM io2_store_yoy s JOIN io2_web_yoy w ON s.d_moy = w.d_moy""".stripMargin,
-        parents = Vector("io2_store_yoy", "io2_web_yoy")),
+          |FROM io2_store_yoy s JOIN io2_web_yoy w ON s.d_moy = w.d_moy""".stripMargin),
       MvSpec("io2_store_catalog",
         """SELECT s.d_moy AS d_moy, s.sales_99 AS store_99, s.sales_00 AS store_00,
           |       c.sales_99 AS catalog_99, c.sales_00 AS catalog_00
-          |FROM io2_store_yoy s JOIN io2_catalog_yoy c ON s.d_moy = c.d_moy""".stripMargin,
-        parents = Vector("io2_store_yoy", "io2_catalog_yoy")),
+          |FROM io2_store_yoy s JOIN io2_catalog_yoy c ON s.d_moy = c.d_moy""".stripMargin),
       MvSpec("io2_all_channels",
         """SELECT sw.d_moy AS d_moy, sw.store_99 AS store_99, sw.store_00 AS store_00,
           |       sw.web_99 AS web_99, sw.web_00 AS web_00,
           |       c.sales_99 AS catalog_99, c.sales_00 AS catalog_00
-          |FROM io2_store_web sw JOIN io2_catalog_yoy c ON sw.d_moy = c.d_moy""".stripMargin,
-        parents = Vector("io2_store_web", "io2_catalog_yoy")),
+          |FROM io2_store_web sw JOIN io2_catalog_yoy c ON sw.d_moy = c.d_moy""".stripMargin),
       MvSpec("io2_yoy_report",
         s"""SELECT d_moy AS d_moy, store_00 AS store_00, web_00 AS web_00, catalog_00 AS catalog_00
            |FROM io2_all_channels
            |WHERE CAST(store_00 AS $Dec) > CAST(store_99 AS $Dec)
-           |   OR CAST(web_00 AS $Dec) > CAST(web_99 AS $Dec)""".stripMargin,
-        parents = Vector("io2_all_channels")),
+           |   OR CAST(web_00 AS $Dec) > CAST(web_99 AS $Dec)""".stripMargin),
     )
     Workload("io2", "I/O 2", "2, 59, 74, 75", perChannel ++ cross)
   }
@@ -234,54 +228,45 @@ object Workloads {
           s"""SELECT item_sk AS item_sk, quantity AS quantity,
              |       ext_sales_price AS ext_sales_price, net_profit AS net_profit
              |FROM io3_${k}_base
-             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) >= 0""".stripMargin,
-          parents = Vector(s"io3_${k}_base")),
+             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) >= 0""".stripMargin),
         MvSpec(s"io3_${k}_neg",
           s"""SELECT item_sk AS item_sk, quantity AS quantity,
              |       ext_sales_price AS ext_sales_price, net_profit AS net_profit
              |FROM io3_${k}_base
-             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) < 0""".stripMargin,
-          parents = Vector(s"io3_${k}_base")),
+             |WHERE d_year = 2000 AND CAST(net_profit AS DOUBLE) < 0""".stripMargin),
         MvSpec(s"io3_${k}_pos_agg",
           s"""SELECT item_sk AS item_sk, SUM(CAST(ext_sales_price AS $Dec)) AS pos_amt,
              |       COUNT(*) AS pos_cnt
-             |FROM io3_${k}_pos GROUP BY item_sk""".stripMargin,
-          parents = Vector(s"io3_${k}_pos")),
+             |FROM io3_${k}_pos GROUP BY item_sk""".stripMargin),
         MvSpec(s"io3_${k}_neg_agg",
           s"""SELECT item_sk AS item_sk,
              |       CAST(SUM(CAST(net_profit AS $Dec)) * -1 AS $Dec) AS loss_amt,
              |       COUNT(*) AS neg_cnt
-             |FROM io3_${k}_neg GROUP BY item_sk""".stripMargin,
-          parents = Vector(s"io3_${k}_neg")),
+             |FROM io3_${k}_neg GROUP BY item_sk""".stripMargin),
         MvSpec(s"io3_${k}_ratio",
           s"""SELECT p.item_sk AS item_sk, p.pos_amt AS pos_amt, p.pos_cnt AS pos_cnt,
              |       n.loss_amt AS loss_amt, n.neg_cnt AS neg_cnt
-             |FROM io3_${k}_pos_agg p JOIN io3_${k}_neg_agg n ON p.item_sk = n.item_sk""".stripMargin,
-          parents = Vector(s"io3_${k}_pos_agg", s"io3_${k}_neg_agg")),
+             |FROM io3_${k}_pos_agg p JOIN io3_${k}_neg_agg n ON p.item_sk = n.item_sk""".stripMargin),
         MvSpec(s"io3_${k}_worst",
           s"""SELECT item_sk AS item_sk, pos_amt AS pos_amt, loss_amt AS loss_amt
              |FROM io3_${k}_ratio
-             |WHERE CAST(loss_amt AS $Dec) * 16 > CAST(pos_amt AS $Dec)""".stripMargin,
-          parents = Vector(s"io3_${k}_ratio")),
+             |WHERE CAST(loss_amt AS $Dec) * 16 > CAST(pos_amt AS $Dec)""".stripMargin),
         MvSpec(s"io3_${k}_best",
           s"""SELECT item_sk AS item_sk, pos_amt AS pos_amt, loss_amt AS loss_amt
              |FROM io3_${k}_ratio
-             |WHERE CAST(loss_amt AS $Dec) * 18 < CAST(pos_amt AS $Dec)""".stripMargin,
-          parents = Vector(s"io3_${k}_ratio")),
+             |WHERE CAST(loss_amt AS $Dec) * 18 < CAST(pos_amt AS $Dec)""".stripMargin),
       )
     }
     val cross = Vector(
       MvSpec("io3_all_worst",
         unionChannels(k =>
           s"SELECT '$k' AS channel, item_sk AS item_sk, pos_amt AS pos_amt, " +
-          s"loss_amt AS loss_amt FROM io3_${k}_worst"),
-        parents = Channels.map(c => s"io3_${c.key}_worst")),
+          s"loss_amt AS loss_amt FROM io3_${k}_worst")),
       MvSpec("io3_worst_report",
         s"""SELECT i.i_category AS i_category, COUNT(*) AS item_cnt,
            |       SUM(CAST(w.loss_amt AS $Dec)) AS total_loss
            |FROM io3_all_worst w JOIN item i ON w.item_sk = i.i_item_sk
-           |GROUP BY i.i_category""".stripMargin,
-        parents = Vector("io3_all_worst"), baseTables = Vector("item")),
+           |GROUP BY i.i_category""".stripMargin),
     )
     Workload("io3", "I/O 3", "44, 49", perChannel ++ cross)
   }
@@ -304,55 +289,46 @@ object Workloads {
         MvSpec(s"c1_${k}_jan",
           s"$jan\nWHERE d_year = 2000 AND d_moy = 1",
           Some(s"$jan\nWHERE ${c.yearCol} = 2000 AND d_moy = 1"),
-          baseTables = Vector(c.table, "date_dim", "item"),
           partitionYears = Map(c.table -> Seq(2000))),
         MvSpec(s"c1_${k}_manu_agg",
           s"""SELECT i_manufact_id AS i_manufact_id,
              |       SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       SUM(CAST(quantity AS BIGINT)) AS qty_sum, COUNT(*) AS cnt
-             |FROM c1_${k}_jan GROUP BY i_manufact_id""".stripMargin,
-          parents = Vector(s"c1_${k}_jan")),
+             |FROM c1_${k}_jan GROUP BY i_manufact_id""".stripMargin),
         MvSpec(s"c1_${k}_cat_agg",
           s"""SELECT i_category AS i_category,
              |       SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       SUM(CAST(quantity AS BIGINT)) AS qty_sum, COUNT(*) AS cnt
-             |FROM c1_${k}_jan GROUP BY i_category""".stripMargin,
-          parents = Vector(s"c1_${k}_jan")),
+             |FROM c1_${k}_jan GROUP BY i_category""".stripMargin),
         MvSpec(s"c1_${k}_state_agg",
           s"""SELECT c_state AS c_state, SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt,
              |       COUNT(*) AS cnt
              |FROM c1_${k}_jan j JOIN customer c ON j.customer_sk = c.c_customer_sk
-             |GROUP BY c_state""".stripMargin,
-          parents = Vector(s"c1_${k}_jan"), baseTables = Vector("customer")),
+             |GROUP BY c_state""".stripMargin),
         MvSpec(s"c1_${k}_high_value",
           s"""SELECT item_sk AS item_sk, SUM(CAST(ext_sales_price AS $Dec)) AS sales_amt
              |FROM c1_${k}_jan GROUP BY item_sk
-             |HAVING SUM(CAST(ext_sales_price AS $Dec)) > 20000""".stripMargin,
-          parents = Vector(s"c1_${k}_jan")),
+             |HAVING SUM(CAST(ext_sales_price AS $Dec)) > 20000""".stripMargin),
         MvSpec(s"c1_${k}_top_items",
           s"""SELECT h.item_sk AS item_sk, i.i_category AS i_category, i.i_brand AS i_brand,
              |       h.sales_amt AS sales_amt
-             |FROM c1_${k}_high_value h JOIN item i ON h.item_sk = i.i_item_sk""".stripMargin,
-          parents = Vector(s"c1_${k}_high_value"), baseTables = Vector("item")),
+             |FROM c1_${k}_high_value h JOIN item i ON h.item_sk = i.i_item_sk""".stripMargin),
       )
     }
     val cross = Vector(
       MvSpec("c1_all_manu",
         unionChannels(k =>
           s"SELECT '$k' AS channel, i_manufact_id AS i_manufact_id, sales_amt AS sales_amt, " +
-          s"qty_sum AS qty_sum, cnt AS cnt FROM c1_${k}_manu_agg"),
-        parents = Channels.map(c => s"c1_${c.key}_manu_agg")),
+          s"qty_sum AS qty_sum, cnt AS cnt FROM c1_${k}_manu_agg")),
       MvSpec("c1_manu_report",
         s"""SELECT i_manufact_id AS i_manufact_id,
            |       SUM(CAST(sales_amt AS $Dec)) AS total_sales,
            |       SUM(CAST(cnt AS BIGINT)) AS total_cnt
-           |FROM c1_all_manu GROUP BY i_manufact_id""".stripMargin,
-        parents = Vector("c1_all_manu")),
+           |FROM c1_all_manu GROUP BY i_manufact_id""".stripMargin),
       MvSpec("c1_all_state",
         unionChannels(k =>
           s"SELECT '$k' AS channel, c_state AS c_state, sales_amt AS sales_amt, " +
-          s"cnt AS cnt FROM c1_${k}_state_agg"),
-        parents = Channels.map(c => s"c1_${c.key}_state_agg")),
+          s"cnt AS cnt FROM c1_${k}_state_agg")),
     )
     Workload("c1", "Compute 1", "33, 56, 60, 61", perChannel ++ cross)
   }
@@ -377,26 +353,22 @@ object Workloads {
         MvSpec(s"c2_${k}_recent",
           s"$recentProj\nWHERE d_year = 2000",
           Some(s"$recentProj\nWHERE ${c.yearCol} = 2000"),
-          baseTables = Vector(c.table, "date_dim"),
           partitionYears = Map(c.table -> Seq(2000))),
         MvSpec(s"c2_${k}_freq_items",
           s"""SELECT item_sk AS item_sk, COUNT(*) AS cnt
              |FROM c2_${k}_recent GROUP BY item_sk
-             |HAVING COUNT(*) > ${freqThreshold(k)}""".stripMargin,
-          parents = Vector(s"c2_${k}_recent")),
+             |HAVING COUNT(*) > ${freqThreshold(k)}""".stripMargin),
         MvSpec(s"c2_${k}_best_cust",
           s"""SELECT customer_sk AS customer_sk, SUM(CAST(quantity AS BIGINT)) AS qty_sum
              |FROM c2_${k}_recent GROUP BY customer_sk
-             |HAVING SUM(CAST(quantity AS BIGINT)) > ${qtyThreshold(k)}""".stripMargin,
-          parents = Vector(s"c2_${k}_recent")),
+             |HAVING SUM(CAST(quantity AS BIGINT)) > ${qtyThreshold(k)}""".stripMargin),
         MvSpec(s"c2_${k}_filtered",
           s"""SELECT r.customer_sk AS customer_sk,
              |       SUM(CAST(r.ext_sales_price AS $Dec)) AS sales_amt, COUNT(*) AS cnt
              |FROM c2_${k}_recent r
              |  JOIN c2_${k}_freq_items f ON r.item_sk = f.item_sk
              |  JOIN c2_${k}_best_cust b ON r.customer_sk = b.customer_sk
-             |GROUP BY r.customer_sk""".stripMargin,
-          parents = Vector(s"c2_${k}_recent", s"c2_${k}_freq_items", s"c2_${k}_best_cust")),
+             |GROUP BY r.customer_sk""".stripMargin),
       )
     }
     val cross = Vector(
@@ -404,24 +376,20 @@ object Workloads {
         """SELECT s.item_sk AS item_sk
           |FROM c2_store_freq_items s
           |  JOIN c2_catalog_freq_items c ON s.item_sk = c.item_sk
-          |  JOIN c2_web_freq_items w ON s.item_sk = w.item_sk""".stripMargin,
-        parents = Vector("c2_store_freq_items", "c2_catalog_freq_items", "c2_web_freq_items")),
+          |  JOIN c2_web_freq_items w ON s.item_sk = w.item_sk""".stripMargin),
       MvSpec("c2_all_filtered",
         unionChannels(k =>
           s"SELECT '$k' AS channel, customer_sk AS customer_sk, sales_amt AS sales_amt, " +
-          s"cnt AS cnt FROM c2_${k}_filtered"),
-        parents = Channels.map(c => s"c2_${c.key}_filtered")),
+          s"cnt AS cnt FROM c2_${k}_filtered")),
       MvSpec("c2_cross_best",
         s"""SELECT customer_sk AS customer_sk, SUM(CAST(sales_amt AS $Dec)) AS total_sales,
            |       SUM(CAST(cnt AS BIGINT)) AS total_cnt
-           |FROM c2_all_filtered GROUP BY customer_sk""".stripMargin,
-        parents = Vector("c2_all_filtered")),
+           |FROM c2_all_filtered GROUP BY customer_sk""".stripMargin),
       MvSpec("c2_final_report",
         s"""SELECT c.c_state AS c_state, SUM(CAST(b.total_sales AS $Dec)) AS state_sales,
            |       COUNT(*) AS cust_cnt
            |FROM c2_cross_best b JOIN customer c ON b.customer_sk = c.c_customer_sk
-           |GROUP BY c.c_state""".stripMargin,
-        parents = Vector("c2_cross_best"), baseTables = Vector("customer")),
+           |GROUP BY c.c_state""".stripMargin),
     )
     Workload("c2", "Compute 2", "14, 23", perChannel ++ cross)
   }

@@ -3,6 +3,8 @@ package repro
 import java.util.Properties
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
+import org.apache.logging.log4j.{Level, LogManager}
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
@@ -46,9 +48,27 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       (a, started.asScala.toVector)
     } finally sc.removeSparkListener(listener)
   }
+
+  /** Runs `body`, which fails Spark tasks on purpose, with the loggers
+    * that print each failed task's stack trace turned off; restores their
+    * levels afterwards.
+    */
+  def withTaskFailuresQuiet[A](body: => A): A = {
+    val saved = SparkSpec.TaskFailureLoggers.map(n => n -> LogManager.getLogger(n).getLevel)
+    saved.foreach { case (n, _) => Configurator.setLevel(n, Level.OFF) }
+    try body finally saved.foreach { case (n, level) => Configurator.setLevel(n, level) }
+  }
 }
 
 object SparkSpec {
+  /** Loggers that print a stack trace for every task of a failing job. */
+  private val TaskFailureLoggers = Seq(
+    "org.apache.spark.executor.Executor",
+    "org.apache.spark.scheduler.TaskSetManager",
+    "org.apache.spark.storage.BlockManager",
+    "org.apache.spark.sql.execution.datasources.FileFormatWriter",
+  )
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

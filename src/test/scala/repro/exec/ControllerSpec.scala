@@ -177,9 +177,8 @@ class ControllerSpec extends SparkSpec {
     // Reversed, the child would silently read the parent's output left in
     // `out` by the earlier run instead of the parent's fresh refresh.
     val chain = Workload("topo", "order check", "", Vector(
-      MvSpec("topo_a", "SELECT d_date_sk, d_year FROM date_dim", baseTables = Vector("date_dim")),
-      MvSpec("topo_b", "SELECT d_year, COUNT(*) AS cnt FROM topo_a GROUP BY d_year",
-        parents = Vector("topo_a"))))
+      MvSpec("topo_a", "SELECT d_date_sk, d_year FROM date_dim"),
+      MvSpec("topo_b", "SELECT d_year, COUNT(*) AS cnt FROM topo_a GROUP BY d_year")))
     val out = TestData.freshOutDir("topo")
     val ctrl = new Controller(spark, ds, ExecConfig(0L, None, out))
     ctrl.runBaseline(chain)
@@ -245,42 +244,42 @@ class ControllerSpec extends SparkSpec {
   }
 
   test("a failed run leaves no cached DataFrames or background writes behind") {
-    // A flagged node starts its background write; the next node fails.
-    val faulty = Workload("fault", "fault injection", "", Vector(
-      MvSpec("fault_a", "SELECT * FROM store_sales", baseTables = Vector("store_sales")),
-      MvSpec("fault_b", "SELECT no_such_column FROM fault_a", parents = Vector("fault_a"))))
-    val out = TestData.freshOutDir("fault")
-    spark.catalog.clearCache()
-    intercept[AnalysisException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
-      .run(faulty, Plan(Vector(0, 1), Set(0)), Map("fault_a" -> 1L)))
-    assert(spark.sharedState.cacheManager.isEmpty)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
-    assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
-    assert(mvViews(faulty).isEmpty, "MV temp views left behind")
+    withTaskFailuresQuiet {
+      // A flagged node starts its background write; the next node fails.
+      val faulty = Workload("fault", "fault injection", "", Vector(
+        MvSpec("fault_a", "SELECT * FROM store_sales"),
+        MvSpec("fault_b", "SELECT no_such_column FROM fault_a")))
+      val out = TestData.freshOutDir("fault")
+      spark.catalog.clearCache()
+      intercept[AnalysisException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+        .run(faulty, Plan(Vector(0, 1), Set(0)), Map("fault_a" -> 1L)))
+      assert(spark.sharedState.cacheManager.isEmpty)
+      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
+      assert(mvViews(faulty).isEmpty, "MV temp views left behind")
 
-    // A flagged node's own statement fails while its entry is created.
-    val failing = Workload("fault2", "fault injection", "", Vector(
-      MvSpec("fault_c", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim",
-        baseTables = Vector("date_dim"))))
-    val e = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
-      .run(failing, Plan(Vector(0), Set(0)), Map("fault_c" -> 1L)))
-    assert(e.getMessage.contains("is not true"), e.getMessage)
-    assert(spark.sharedState.cacheManager.isEmpty)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
-    assert(mvViews(failing).isEmpty, "MV temp views left behind")
+      // A flagged node's own statement fails while its entry is created.
+      val failing = Workload("fault2", "fault injection", "", Vector(
+        MvSpec("fault_c", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim")))
+      val e = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+        .run(failing, Plan(Vector(0), Set(0)), Map("fault_c" -> 1L)))
+      assert(e.getMessage.contains("is not true"), e.getMessage)
+      assert(spark.sharedState.cacheManager.isEmpty)
+      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(mvViews(failing).isEmpty, "MV temp views left behind")
 
-    // Under LRU, a cacheable statement is persisted before its write fails.
-    val lruFailing = Workload("fault3", "fault injection", "", Vector(
-      MvSpec("fault_d", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim",
-        baseTables = Vector("date_dim")),
-      MvSpec("fault_e", "SELECT x FROM fault_d", parents = Vector("fault_d"))))
-    val lruSizes = Map("fault_d" -> 1L, "fault_e" -> 1L)
-    val e2 = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
-      .runLru(lruFailing, lruSizes))
-    assert(e2.getMessage.contains("is not true"), e2.getMessage)
-    assert(spark.sharedState.cacheManager.isEmpty)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
-    assert(mvViews(lruFailing).isEmpty, "MV temp views left behind")
+      // Under LRU, a cacheable statement is persisted before its write fails.
+      val lruFailing = Workload("fault3", "fault injection", "", Vector(
+        MvSpec("fault_d", "SELECT assert_true(d_date_sk < 0) AS x FROM date_dim"),
+        MvSpec("fault_e", "SELECT x FROM fault_d")))
+      val lruSizes = Map("fault_d" -> 1L, "fault_e" -> 1L)
+      val e2 = intercept[RuntimeException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
+        .runLru(lruFailing, lruSizes))
+      assert(e2.getMessage.contains("is not true"), e2.getMessage)
+      assert(spark.sharedState.cacheManager.isEmpty)
+      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(mvViews(lruFailing).isEmpty, "MV temp views left behind")
+    }
   }
 
   test("a finished run leaves no MV temp views behind") {
@@ -364,22 +363,23 @@ class ControllerSpec extends SparkSpec {
   }
 
   test("a flagged statement failing in a shuffle stage leaves nothing behind") {
-    // The GROUP BY's map stage evaluates the assertion: the statement fails
-    // before its Memory-Catalog entry is persisted.
-    val shuffled = Workload("fault4", "fault injection", "", Vector(
-      MvSpec("fault_f", "SELECT x, COUNT(*) AS cnt FROM " +
-        "(SELECT assert_true(d_date_sk < 0) AS x FROM date_dim) t GROUP BY x",
-        baseTables = Vector("date_dim")),
-      MvSpec("fault_g", "SELECT cnt FROM fault_f", parents = Vector("fault_f"))))
-    spark.catalog.clearCache()
-    val e = intercept[RuntimeException](
-      new Controller(spark, ds, ExecConfig(1L << 30, None, TestData.freshOutDir("fault4")))
-        .run(shuffled, Plan(Vector(0, 1), Set(0)), Map("fault_f" -> 1L)))
-    assert(e.getMessage.contains("is not true"), e.getMessage)
-    assert(spark.sharedState.cacheManager.isEmpty)
-    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
-    assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
-    assert(mvViews(shuffled).isEmpty, "MV temp views left behind")
+    withTaskFailuresQuiet {
+      // The GROUP BY's map stage evaluates the assertion: the statement fails
+      // before its Memory-Catalog entry is persisted.
+      val shuffled = Workload("fault4", "fault injection", "", Vector(
+        MvSpec("fault_f", "SELECT x, COUNT(*) AS cnt FROM " +
+          "(SELECT assert_true(d_date_sk < 0) AS x FROM date_dim) t GROUP BY x"),
+        MvSpec("fault_g", "SELECT cnt FROM fault_f")))
+      spark.catalog.clearCache()
+      val e = intercept[RuntimeException](
+        new Controller(spark, ds, ExecConfig(1L << 30, None, TestData.freshOutDir("fault4")))
+          .run(shuffled, Plan(Vector(0, 1), Set(0)), Map("fault_f" -> 1L)))
+      assert(e.getMessage.contains("is not true"), e.getMessage)
+      assert(spark.sharedState.cacheManager.isEmpty)
+      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(mvViews(shuffled).isEmpty, "MV temp views left behind")
+    }
   }
 
   test("a charged sleep lasts the full charge") {

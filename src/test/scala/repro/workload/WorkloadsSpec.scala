@@ -122,9 +122,21 @@ class WorkloadsSpec extends AnyFunSuite {
   }
 
   test("forward references are rejected") {
-    val a = MvSpec("a", "SELECT * FROM b", parents = Vector("b"))
+    val a = MvSpec("a", "SELECT * FROM b")
     val b = MvSpec("b", "SELECT 1 AS x")
     assertThrows[IllegalArgumentException](Workload("t", "t", "", Vector(a, b)))
+  }
+
+  test("a statement reading an unknown relation is rejected, naming it") {
+    val typo = MvSpec("x", "SELECT * FROM stor_sales")
+    val e = intercept[IllegalArgumentException](Workload("t", "t", "", Vector(typo)))
+    assert(e.getMessage.contains("stor_sales"), e.getMessage)
+  }
+
+  test("every partitioned variant reads the relations of its regular statement") {
+    Workloads.all.foreach(_.mvs.foreach { mv =>
+      mv.sqlPartitioned.foreach(p => assert(MvSpec.relations(p) == MvSpec.relations(mv.sql), mv.name))
+    })
   }
 
   test("every workload has per-channel roots and at least one report sink") {
