@@ -7,23 +7,22 @@ import repro.{Methods, SparkSpec}
 import repro.core.Dag
 import repro.exec.{Controller, ExecConfig, NfsModel, RunReport}
 import repro.sim.Simulator
-import repro.workload.{Dataset, Metadata, TpcDsLite, Workload, Workloads}
+import repro.workload.{Dataset, Metadata, TestData, TpcDsLite, Workload, Workloads}
 
 /** Shared benchmark fixture: one generated TPC-DS-lite dataset pair per
-  * bench JVM, per-workload calibrations (which double as the unoptimized
-  * baseline measurements), and memoized method runs so Table IV, Table V
-  * and the Fig 9 comparison reuse the same executions.
+  * bench JVM at SF 0.01, per-workload calibrations, and memoized method
+  * runs so Table III, Table IV, Table V and the Fig 9 comparison reuse the
+  * same executions.
   *
-  * Knob (env): REPRO_BENCH_SF (default 0.01). The modeled NFS scans the
-  * whole dataset in `NfsModel.scaledTo`'s default 8 s. Tables are written
-  * to REPRO_RESULTS_DIR, which build.sbt sets to this checkout's `results/`
-  * unless it is already set.
+  * The modeled NFS scans the whole dataset in `NfsModel.scaledTo`'s default
+  * 8 s. Tables are written to REPRO_RESULTS_DIR, which build.sbt sets to
+  * this checkout's `results/` unless it is already set.
   */
 object BenchData {
-  val sf: Double = sys.env.get("REPRO_BENCH_SF").map(_.toDouble).getOrElse(0.01)
+  val sf: Double = 0.01
 
   lazy val spark: SparkSession = SparkSpec.shared
-  lazy val dir: Path = Files.createTempDirectory("sc-bench")
+  lazy val dir: Path = Files.createDirectories(TestData.root.resolve("bench"))
   lazy val resultsDir: Path = {
     val p = Paths.get(sys.env("REPRO_RESULTS_DIR"))
     Files.createDirectories(p); p
@@ -39,11 +38,13 @@ object BenchData {
 
   private val calCache = mutable.Map.empty[(String, String), Metadata.Calibration]
 
-  /** Calibration = the unoptimized (no-opt) run with modeled NFS delays. */
+  /** Calibration = an untimed, delay-free no-opt refresh: sizes and
+    * [[simInputs]] only, no table reports it.
+    */
   def calibration(ds: Dataset, w: Workload): Metadata.Calibration = synchronized {
     calCache.getOrElseUpdate((ds.name, w.key), {
       val out = Files.createTempDirectory(dir, s"cal-${ds.name}-${w.key}")
-      Metadata.calibrate(spark, ds, w, ExecConfig(0L, Some(nfs(ds)), out))
+      Metadata.calibrate(spark, ds, w, ExecConfig(0L, None, out))
     })
   }
 
@@ -52,17 +53,13 @@ object BenchData {
 
   private val runCache = mutable.Map.empty[(String, String, String, Double), RunReport]
 
-  /** Execute (memoized) one workload with one method at `pct`% catalog. */
+  /** Execute (memoized), with NFS delays, one workload with one method at `pct`% catalog. */
   def run(ds: Dataset, w: Workload, method: String, pct: Double): RunReport = synchronized {
     runCache.getOrElseUpdate((ds.name, w.key, method, pct), {
-      val cal = calibration(ds, w)
-      if (method == "no-opt") cal.report
-      else {
-        val out = Files.createTempDirectory(dir, s"run-${ds.name}-${w.key}-$method-$pct")
-        val cfg = ExecConfig(budget(ds, pct), Some(nfs(ds)), out)
-        Methods.run(method, new Controller(spark, ds, cfg), w, dag(ds, w), cfg.memoryCatalogBytes,
-          cal.sizes)
-      }
+      val out = Files.createTempDirectory(dir, s"run-${ds.name}-${w.key}-$method-$pct")
+      val cfg = ExecConfig(budget(ds, pct), Some(nfs(ds)), out)
+      Methods.run(method, new Controller(spark, ds, cfg), w, dag(ds, w), cfg.memoryCatalogBytes,
+        calibration(ds, w).sizes)
     })
   }
 

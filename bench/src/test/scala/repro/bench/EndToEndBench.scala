@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workload.Workloads
+import repro.workload.{Dataset, Workloads}
 
 /** Fig 9 — end-to-end MV refresh time per workload for S/C versus the
   * unoptimized engine and the off-the-shelf baselines (Greedy, Random,
@@ -12,22 +12,27 @@ class EndToEndBench extends AnyFunSuite {
 
   private val methods = Vector("no-opt", "greedy", "random", "ratio", "lru", "sc")
 
+  /** Records `name`: per-workload and total end-to-end time of each method
+    * in `columns` at `pct`% catalog, and S/C's speedup; returns the totals.
+    */
+  private def figure(name: String, ds: Dataset, pct: Double,
+                     columns: Vector[String]): Map[String, Double] = {
+    val times = Workloads.all.map(w => w.title -> columns.map(m =>
+      m -> BenchData.run(ds, w, m, pct).endToEndMs).toMap)
+    val totals = columns.map(m => m -> times.map(_._2(m)).sum).toMap
+    def row(label: String, t: Map[String, Double]): String =
+      f"$label%-10s" + columns.map(m => f"${t(m) / 1000}%9.1fs").mkString +
+        f"${t("no-opt") / t("sc")}%12.2fx\n"
+    BenchData.record(name, f"${"Workload"}%-10s" + columns.map(m => f"$m%10s").mkString +
+      f"${"S/C speedup"}%13s\n" + times.map { case (l, t) => row(l, t) }.mkString +
+      row("TOTAL", totals))
+    totals
+  }
+
   test("Fig 9a: TPC-DS end-to-end runtimes, 1.6% Memory Catalog") {
     val ds = BenchData.regular
     val pct = 1.6
-    val sb = new StringBuilder
-    sb ++= f"${"Workload"}%-10s" + methods.map(m => f"$m%10s").mkString + f"${"S/C speedup"}%13s\n"
-    val perMethodTotals = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-    Workloads.all.foreach { w =>
-      val times = methods.map(m => m -> BenchData.run(ds, w, m, pct).endToEndMs).toMap
-      methods.foreach(m => perMethodTotals(m) += times(m))
-      sb ++= f"${w.title}%-10s" +
-        methods.map(m => f"${times(m) / 1000}%9.1fs").mkString +
-        f"${times("no-opt") / times("sc")}%12.2fx\n"
-    }
-    sb ++= f"${"TOTAL"}%-10s" + methods.map(m => f"${perMethodTotals(m) / 1000}%9.1fs").mkString +
-      f"${perMethodTotals("no-opt") / perMethodTotals("sc")}%12.2fx\n"
-    BenchData.record("fig9a_tpcds.txt", sb.toString)
+    val perMethodTotals = figure("fig9a_tpcds.txt", ds, pct, methods)
 
     // Shape claims: S/C beats no-opt overall, and no baseline beats S/C by
     // more than measurement noise.
@@ -46,19 +51,8 @@ class EndToEndBench extends AnyFunSuite {
   }
 
   test("Fig 9b: TPC-DSp end-to-end runtimes, 0.8% Memory Catalog") {
-    val ds = BenchData.partitioned
-    val pct = 0.8
-    val sb = new StringBuilder
-    sb ++= f"${"Workload"}%-10s${"no-opt"}%10s${"sc"}%10s${"speedup"}%10s\n"
-    var no, sc = 0.0
-    Workloads.all.foreach { w =>
-      val n = BenchData.run(ds, w, "no-opt", pct).endToEndMs
-      val s = BenchData.run(ds, w, "sc", pct).endToEndMs
-      no += n; sc += s
-      sb ++= f"${w.title}%-10s${n / 1000}%9.1fs${s / 1000}%9.1fs${n / s}%9.2fx\n"
-    }
-    sb ++= f"${"TOTAL"}%-10s${no / 1000}%9.1fs${sc / 1000}%9.1fs${no / sc}%9.2fx\n"
-    BenchData.record("fig9b_tpcdsp.txt", sb.toString)
+    val totals = figure("fig9b_tpcdsp.txt", BenchData.partitioned, 0.8, Vector("no-opt", "sc"))
+    val (no, sc) = (totals("no-opt"), totals("sc"))
     assert(sc < no, "S/C total not below no-opt on TPC-DSp")
   }
 

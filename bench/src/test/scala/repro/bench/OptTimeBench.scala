@@ -12,7 +12,7 @@ import repro.workload.DagGen
 class OptTimeBench extends AnyFunSuite {
 
   private val sizes = Vector(25, 50, 75, 100)
-  private val dagsPerSize = sys.env.get("REPRO_BENCH_DAGS").map(_.toInt).getOrElse(50)
+  private val dagsPerSize = 50
   private val budget = 16L << 30 // 16 GB catalog against 100 GB-scale tables
 
   test("Fig 13: optimization time vs DAG size for all method pairs") {

@@ -30,10 +30,9 @@ object RunWorkload {
     val dataset = TpcDsLite.generate(spark, dir.resolve("data"), sf, part)
     val nfs = NfsModel.scaledTo(dataset.totalBytes)
     val budget = Methods.budget(dataset.totalBytes, memPct)
-    val cfg = ExecConfig(budget, Some(nfs), dir.resolve("mv"))
-    val controller = new Controller(spark, dataset, cfg)
+    val controller = new Controller(spark, dataset, ExecConfig(budget, Some(nfs), dir.resolve("mv")))
 
-    val cal = Metadata.calibrate(spark, dataset, workload, cfg.copy(outDir = dir.resolve("cal")))
+    val cal = Metadata.calibrate(spark, dataset, workload, ExecConfig(0L, None, dir.resolve("cal")))
     val dag = Metadata.dag(workload, cal.sizes, nfs, Methods.MemCreateMs)
 
     val report = Methods.run(method, controller, workload, dag, budget, cal.sizes)

@@ -23,7 +23,7 @@ final case class ExecConfig(memoryCatalogBytes: Long, nfs: Option[NfsModel], out
 
 /** Per-node measurements from one run. Base-table reads are kept apart from
   * intermediate (parent MV) reads: only the latter are S/C's optimization
-  * target and enter the Table III I/O ratio.
+  * target and enter [[RunReport.ioRatio]].
   */
 final case class NodeReport(name: String, flagged: Boolean, outBytes: Long,
                             baseReadMs: Double, parentReadMs: Double,
@@ -40,6 +40,13 @@ final case class RunReport(workload: String, dataset: String, method: String,
   def computeMs: Double = nodes.foldLeft(0.0)(_ + _.execMs)
   def writeForegroundMs: Double = nodes.foldLeft(0.0)(_ + _.writeDelayMs)
   def queryMs: Double = tableReadMs + computeMs
+  /** Table III's I/O ratio: modeled parent-MV read and write time, the
+    * share S/C can optimize, over total time (base-table reads included).
+    */
+  def ioRatio: Double = {
+    val io = nodes.foldLeft(0.0)(_ + _.parentReadMs) + writeForegroundMs + writeBackgroundMs
+    io / math.max(1e-9, io + nodes.foldLeft(0.0)(_ + _.baseReadMs) + computeMs)
+  }
   def sizes: Map[String, Long] = nodes.map(n => n.name -> n.outBytes).toMap
   def execMsByName: Map[String, Double] = nodes.map(n => n.name -> n.execMs).toMap
 }

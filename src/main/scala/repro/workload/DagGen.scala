@@ -51,17 +51,14 @@ object DagGen {
     200L << 20, 100L << 20, 25L << 20, 10L << 20, // dimensions
   )
 
-  final case class Params(
-      nNodes: Int,
-      heightWidthRatio: Double = 1.0,
-      maxOutDegree: Int = 4,
-      stageStdev: Double = 1.0,
-      seed: Long = 0,
-  )
+  // Fig 14's sweep parameters (out of scope), fixed at the generator's defaults.
+  private val HeightWidthRatio = 1.0
+  private val MaxOutDegree = 4
+  private val StageStdev = 1.0
 
-  final case class Generated(dag: Dag, ops: Vector[Op], stageOf: Vector[Int]) {
-    def stages: Int = if (stageOf.isEmpty) 0 else stageOf.max + 1
-  }
+  final case class Params(nNodes: Int, seed: Long = 0)
+
+  final case class Generated(dag: Dag, ops: Vector[Op], stageOf: Vector[Int])
 
   private def pick(rnd: Random, dist: Vector[(Op, Double)]): Op = {
     val r = rnd.nextDouble() * dist.map(_._2).sum
@@ -71,14 +68,14 @@ object DagGen {
   }
 
   def generate(p: Params): Generated = {
-    require(p.nNodes >= 1 && p.maxOutDegree >= 1)
+    require(p.nNodes >= 1)
     val rnd = new Random(p.seed)
 
     // Stage layout: height/width ≈ ratio, height·width ≈ n; per-stage node
-    // counts jittered by stageStdev then rescaled to exactly n nodes.
-    val height = math.max(1, math.round(math.sqrt(p.nNodes * p.heightWidthRatio)).toInt)
+    // counts jittered by StageStdev then rescaled to exactly n nodes.
+    val height = math.max(1, math.round(math.sqrt(p.nNodes * HeightWidthRatio)).toInt)
     val baseWidth = p.nNodes.toDouble / height
-    val rawCounts = Vector.fill(height)(math.max(1.0, baseWidth + rnd.nextGaussian() * p.stageStdev))
+    val rawCounts = Vector.fill(height)(math.max(1.0, baseWidth + rnd.nextGaussian() * StageStdev))
     val scale = p.nNodes / rawCounts.sum
     val counts = {
       val c = rawCounts.map(x => math.max(1, math.round(x * scale).toInt)).toArray
@@ -98,7 +95,7 @@ object DagGen {
     // Edges: every non-root node gets ≥1 parent in the previous stage
     // (respecting parents' remaining out-degree budget when possible);
     // extra edges flow forward until each node meets its sampled out-degree.
-    val outBudget = Vector.tabulate(p.nNodes)(_ => rnd.nextInt(p.maxOutDegree + 1)).toArray
+    val outBudget = Vector.tabulate(p.nNodes)(_ => rnd.nextInt(MaxOutDegree + 1)).toArray
     val outUsed = Array.fill(p.nNodes)(0)
     val edges = scala.collection.mutable.Set.empty[(Int, Int)]
     (1 until height).foreach { s =>
@@ -114,7 +111,7 @@ object DagGen {
     (0 until p.nNodes).foreach { u =>
       val later = ((stageOf(u) + 1) until height).flatMap(byStage(_))
       var guard = 0
-      while (outUsed(u) < outBudget(u) && later.nonEmpty && guard < 4 * p.maxOutDegree) {
+      while (outUsed(u) < outBudget(u) && later.nonEmpty && guard < 4 * MaxOutDegree) {
         val v = later(rnd.nextInt(later.size))
         if (!edges.contains((u, v))) { edges += ((u, v)); outUsed(u) += 1 }
         guard += 1

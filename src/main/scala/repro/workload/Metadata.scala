@@ -10,19 +10,9 @@ import repro.exec.{Controller, ExecConfig, NfsModel, RunReport}
   */
 object Metadata {
 
+  /** A past no-opt refresh: the source of the calibrated sizes. */
   final case class Calibration(report: RunReport) {
     def sizes: Map[String, Long] = report.sizes
-
-    /** Table III's I/O ratio: time spent reading/writing *intermediate*
-      * tables — the share S/C can optimize — over total workload time
-      * (base-table reads are unavoidable and stay in the denominator only).
-      */
-    def ioRatio: Double = {
-      val parentReads = report.nodes.map(_.parentReadMs).sum
-      val io = parentReads + report.writeForegroundMs + report.writeBackgroundMs
-      val total = io + report.nodes.map(_.baseReadMs).sum + report.computeMs
-      io / math.max(1e-9, total)
-    }
   }
 
   /** Run the workload once, unoptimized, to observe sizes and times. */

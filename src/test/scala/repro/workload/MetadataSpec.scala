@@ -48,13 +48,13 @@ class MetadataSpec extends SparkSpec {
   }
 
   test("ioRatio is a fraction and zero without an NFS model") {
-    assert(cal.ioRatio >= 0.0 && cal.ioRatio < 1.0)
-    assert(cal.ioRatio == 0.0) // no NFS model on this calibration
+    assert(cal.report.ioRatio >= 0.0 && cal.report.ioRatio < 1.0)
+    assert(cal.report.ioRatio == 0.0) // no NFS model on this calibration
   }
 
   test("ioRatio reflects modeled storage time when NFS model present") {
     val c = Metadata.calibrate(spark, ds, Workloads.io2,
       ExecConfig(0L, Some(NfsModel(50_000, 25_000, 0.2)), TestData.freshOutDir("meta2")))
-    assert(c.ioRatio > 0.0 && c.ioRatio < 1.0)
+    assert(c.report.ioRatio > 0.0 && c.report.ioRatio < 1.0)
   }
 }

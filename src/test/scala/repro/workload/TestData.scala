@@ -1,6 +1,7 @@
 package repro.workload
 
 import java.nio.file.{Files, Path}
+import java.util.Comparator
 import org.apache.spark.sql.SparkSession
 
 /** Shared miniature datasets for Spark-backed suites: generated once per
@@ -10,7 +11,21 @@ import org.apache.spark.sql.SparkSession
 object TestData {
   val SF: Double = 0.002
 
-  lazy val dir: Path = Files.createTempDirectory("sc-testdata")
+  /** The one directory of this JVM's datasets and run outputs, deleted when
+    * the JVM exits. Nothing under it is deleted earlier: suites share the
+    * lazily built datasets and outputs.
+    */
+  lazy val root: Path = {
+    val p = Files.createTempDirectory("sc-")
+    sys.addShutdownHook {
+      val s = Files.walk(p)
+      try s.sorted(Comparator.reverseOrder[Path]()).forEach(f => Files.deleteIfExists(f))
+      finally s.close()
+    }
+    p
+  }
+
+  lazy val dir: Path = Files.createDirectories(root.resolve("testdata"))
 
   private var regularCache: Option[Dataset] = None
   private var partitionedCache: Option[Dataset] = None
@@ -30,5 +45,5 @@ object TestData {
   }
 
   /** Fresh output directory for a controller run. */
-  def freshOutDir(tag: String): Path = Files.createTempDirectory(s"sc-out-$tag")
+  def freshOutDir(tag: String): Path = Files.createTempDirectory(root, s"out-$tag")
 }
