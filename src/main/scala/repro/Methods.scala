@@ -10,9 +10,9 @@ import repro.workload.Workload
   */
 object Methods {
 
-  /** Observed cost (ms) of creating a node in the Memory Catalog: the extra
-    * Spark action that materializes the cached DataFrame. It enters the
-    * speedup score as the paper's `time(create v_i in memory)` term.
+  /** Cost (ms) of creating a node in the Memory Catalog: filling the cached
+    * DataFrame during the node's Parquet write. It enters the speedup score
+    * as the paper's `time(create v_i in memory)` term.
     */
   val MemCreateMs: Double = 400.0
 

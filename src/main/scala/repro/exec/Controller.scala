@@ -56,15 +56,19 @@ final case class RunReport(workload: String, dataset: String, method: String,
   * Each node's SQL runs over temp views: base tables are Parquet reads of
   * the dataset, parents are either the flagged parent's memory-persisted
   * DataFrame (no storage read) or a Parquet read of the parent's
-  * materialized output (modeled storage read). Flagged nodes are created in
-  * the Memory Catalog and materialized to storage on a background thread in
-  * parallel with downstream execution; unflagged nodes materialize on the
-  * critical path. The run ends when all MVs are materialized on storage.
+  * materialized output (modeled storage read). Every MV is written to
+  * storage once, by its statement; a flagged node's write also fills its
+  * Memory-Catalog entry, and the write's modeled NFS charge is slept on a
+  * background channel in parallel with downstream execution, where an
+  * unflagged node's is slept on the critical path. The run ends when every
+  * charge has been slept.
   *
-  * The Memory Catalog is the set of memory-persisted flagged outputs. Its
-  * occupancy is the plan's [[Plan.residency]] under the calibrated sizes —
-  * the same numbers the optimizer reasoned with — so a plan whose peak
-  * exceeds the budget is rejected before any MV runs.
+  * The Memory Catalog is the set of memory-persisted flagged outputs. An
+  * entry is held exactly over the plan's [[Plan.residency]] span and leaves
+  * Spark's cache right after its last child has run, so the catalog's
+  * occupancy is the plan's peak under the calibrated sizes — the same
+  * numbers the optimizer reasoned with — and a plan whose peak exceeds the
+  * budget is rejected before any MV runs.
   *
   * The DBMS-LRU-cache baseline (§ VI-A, [[runLru]]) runs on the same
   * storage steps; only its cache policy differs.
@@ -110,14 +114,13 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
       val resident = mutable.Map.empty[String, DataFrame] // the Memory Catalog
       plan.order.zipWithIndex.foreach { case (idx, k) =>
         val mv = workload.mvs(idx)
-        // A flagged node is created in the Memory Catalog and materialized
-        // to storage in parallel with downstream execution.
+        // A flagged node is created in the Memory Catalog by its write,
+        // whose charge is slept in parallel with downstream execution.
         val flagged = plan.flagged(idx)
         val df = steps.node(mv, resident.get, persist = flagged, background = flagged)
         if (flagged) resident(mv.name) = df
         releaseAfter.getOrElse(k, Nil).foreach { j =>
-          val name = workload.mvs(j).name
-          steps.release(name, resident.remove(name).get)
+          resident.remove(workload.mvs(j).name).get.unpersist(false)
         }
       }
       Plan.peakMemoryUsage(dag, plan)
@@ -183,18 +186,17 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
   }
 
   /** The per-node steps of one refresh, with the modeled NFS charges, and
-    * the reports and resources they accumulate. Spark work of each node,
-    * background write included, carries the job description
-    * "`method` `mv`".
+    * the reports and resources they accumulate. Spark work of each node
+    * carries the job description "`method` `mv`".
     */
   private final class Steps(sizes: Map[String, Long], method: String) {
-    // One materialization channel, as in § III-C / Fig 6: background
-    // writes go to storage one at a time, in parallel with downstream
+    // One materialization channel, as in § III-C / Fig 6: background write
+    // charges are slept one at a time, in parallel with downstream
     // execution (the timeline simulator models the same single channel).
     private val writePool = Executors.newFixedThreadPool(1)
     private implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(writePool)
     private val sc = spark.sparkContext
-    private val bgWrites = mutable.Map.empty[String, Future[Double]]
+    private val bgWrites = mutable.Buffer.empty[Future[Double]]
     private val persisted = mutable.Buffer.empty[DataFrame]
     private val schemas = mutable.Map.empty[String, StructType] // by MV, of the statement run
     private val views = mutable.Set.empty[String] // parent MV temp views registered
@@ -206,15 +208,15 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
     /** Refreshes `mv` and returns its statement's DataFrame. A parent that
       * `cached` holds is bound from memory, any other is a charged Parquet
       * read of its output, bound with the schema of the statement that
-      * wrote it. When `persist`, the returned DataFrame is the statement's
-      * rows cached on the partitions AQE chose for it. When `background`, a
-      * count fills the cache and the storage write runs off the critical
-      * path; otherwise the MV is written and charged at once.
+      * wrote it. The MV is written at once. When `persist`, the returned
+      * DataFrame is the statement's rows cached on the partitions AQE chose
+      * for it, and the write fills that cache. When `background`, the
+      * write's charge is slept on the background channel; otherwise on the
+      * critical path.
       */
     def node(mv: MvSpec, cached: String => Option[DataFrame],
              persist: Boolean, background: Boolean): DataFrame = {
-      val desc = s"$method ${mv.name}"
-      sc.setJobDescription(desc)
+      sc.setJobDescription(s"$method ${mv.name}")
       val baseRead = dataset.baseReadBytes(mv).map(nfs.readMs).sum
       var parentRead = 0.0
       mv.parents.foreach { p =>
@@ -236,35 +238,26 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
         // coalesces the shuffle partitions, and every child and the write
         // would run one task per uncoalesced partition. `stmt.rdd` runs
         // the statement's shuffle stages and ends on AQE's partitions; the
-        // entry caches them when first read.
+        // entry caches them when the write reads it.
         val entry = spark.createDataFrame(stmt.rdd, stmt.schema)
         // Registered before the persist, so close() unpersists it even when
-        // the action that fills the cache fails.
+        // the write that fills the cache fails.
         persisted += entry
         entry.persist(StorageLevel.MEMORY_ONLY)
       }
-      if (background) df.count() else write(df, mv.name)
+      write(df, mv.name)
       val execMs = (System.nanoTime() - tExec0) / 1e6
       val bytes = outBytes(mv.name)
-      if (background) bgWrites(mv.name) = Future {
-        sc.setJobDescription(desc)
-        write(df, mv.name)
-        chargeWrite(bytes)
-      }
-      val writeDelay = if (background) 0.0 else chargeWrite(bytes)
+      val writeDelay =
+        if (!background) chargeWrite(bytes)
+        else { bgWrites += Future(chargeWrite(bytes)); 0.0 }
       nodeReports += NodeReport(mv.name, background, bytes, baseRead, parentRead, execMs, writeDelay)
       df
     }
 
-    /** Releases `name`'s cached `df`. The physical unpersist waits for the
-      * background materialization.
-      */
-    def release(name: String, df: DataFrame): Unit =
-      bgWrites(name).onComplete(_ => df.unpersist(false))
-
     /** All MVs count as refreshed only once materialized on storage. */
     def report(workload: Workload, peak: Long): RunReport = {
-      val bgDelays = bgWrites.values.toVector.map(f => Await.result(f, Duration.Inf))
+      val bgDelays = bgWrites.toVector.map(f => Await.result(f, Duration.Inf))
       val endToEnd = (System.nanoTime() - t0) / 1e6
       RunReport(workload.key, dataset.name, method, endToEnd, bgDelays.sum, peak,
         nodeReports.result())
@@ -272,8 +265,8 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
     def close(): Unit = {
       sc.setJobDescription(null)
-      // On failure too, no background write may outlive the run.
-      bgWrites.values.foreach(Await.ready(_, Duration.Inf))
+      // On failure too, no background charge may outlive the run.
+      bgWrites.foreach(Await.ready(_, Duration.Inf))
       persisted.foreach(_.unpersist(false)) // idempotent after a release or eviction
       writePool.shutdown()
       // The views point at unpersisted DataFrames or at output a later run
@@ -285,8 +278,10 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
 object Controller {
   /** Spark settings every session that runs a Controller is built with: no
-    * broadcast joins (every join takes the shuffle path) and FAIR scheduling
-    * (background writes run beside foreground MV statements).
+    * broadcast joins (every join takes the shuffle path) and FAIR
+    * scheduling. The Controller names no scheduler pool, so its jobs share
+    * the default pool, which runs them in FIFO order; perfbench's session
+    * sets the same mode.
     */
   val SparkSettings: Map[String, String] = Map(
     "spark.sql.autoBroadcastJoinThreshold" -> "-1", "spark.scheduler.mode" -> "FAIR")

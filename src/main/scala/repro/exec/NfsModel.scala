@@ -25,8 +25,8 @@ final case class NfsModel(readBytesPerMs: Double, writeBytesPerMs: Double, laten
   /** Speedup score t_i (§ IV) of a node with `bytes` of output: each of its
     * `children` reads it from memory instead of storage, and it is created
     * in memory while its storage write moves off the critical path. The
-    * in-memory create also costs `memCreateMs` (one extra Spark action in
-    * this substrate); nodes whose savings do not cover it score 0 and are
+    * in-memory create also costs `memCreateMs` (the cache fill during its
+    * write in this substrate); nodes whose savings do not cover it score 0 and are
     * excluded by SimplifiedMKP's V_exclude rule.
     */
   def speedupScore(children: Int, bytes: Long, memCreateMs: Double): Double =

@@ -10,11 +10,11 @@ import repro.exec.NfsModel
   * materialization to storage runs on a background I/O channel in parallel
   * with downstream execution; an unflagged node is written to storage on
   * the critical path. Children read flagged parents from memory and
-  * unflagged parents from storage. A flagged node leaves memory once both
-  * its last child has executed and its background write has finished
-  * (Fig 6, t4); the last child comes from [[Plan.residency]]. Storage and
-  * memory are priced by `NfsModel`, the same model that gives the
-  * optimizer its speedup scores.
+  * unflagged parents from storage. Storage and memory are priced by
+  * `NfsModel`, the same model that gives the optimizer its speedup scores.
+  * Memory-Catalog occupancy is not simulated: a flagged node is resident
+  * over its [[Plan.residency]] span, whose peak is
+  * [[Plan.peakMemoryUsage]].
   */
 object Simulator {
 
@@ -25,7 +25,8 @@ object Simulator {
     * @param baseReadBytes bytes read from base tables (storage) by each node
     * @param memCreateMs   fixed cost of creating a flagged node in the
     *                      Memory Catalog (the paper's `time(create v_i in
-    *                      memory)`; an extra action in the Spark substrate)
+    *                      memory)`; the cache fill during its write in the
+    *                      Spark substrate)
     */
   final case class Inputs(sizes: Vector[Long], computeMs: Vector[Double],
                           baseReadBytes: Vector[Long], memCreateMs: Double = 0.0)
@@ -35,7 +36,6 @@ object Simulator {
       tableReadMs: Double,
       computeMs: Double,
       writeMs: Double,
-      peakMemoryBytes: Long,
       nodeEndMs: Vector[Double],
   ) {
     /** Table IV's "Query" column: read + compute (writes are reported apart). */
@@ -49,7 +49,6 @@ object Simulator {
     var t = 0.0          // foreground clock
     var bgFree = 0.0     // background materialization channel availability
     val execEnd = Array.ofDim[Double](dag.n)
-    val bgEnd = Array.ofDim[Double](dag.n) // flagged-node materialization end
     var readTotal, computeTotal, writeTotal = 0.0
 
     plan.order.foreach { i =>
@@ -66,7 +65,6 @@ object Simulator {
         t += read + compute + cost.memMs(in.sizes(i)) + in.memCreateMs
         execEnd(i) = t
         bgFree = math.max(t, bgFree) + w
-        bgEnd(i) = bgFree
       } else {
         t += read + compute + w
         execEnd(i) = t
@@ -74,18 +72,6 @@ object Simulator {
     }
 
     val endToEnd = math.max(t, bgFree)
-
-    // Peak Memory-Catalog bytes over continuous time: a flagged node is
-    // resident from its execution end until both the last position of its
-    // residency has executed and its own background write has finished.
-    // Releases sort before creations at equal times (half-open intervals).
-    val r = Plan.residency(dag, plan.order)
-    val events = plan.flagged.toVector.flatMap { j =>
-      val until = math.max(execEnd(plan.order(r.end(j))), bgEnd(j))
-      Vector((execEnd(j), in.sizes(j)), (until, -in.sizes(j)))
-    }.sorted(Ordering.Tuple2(Ordering.Double.IeeeOrdering, Ordering.Long))
-    val peak = events.scanLeft(0L)(_ + _._2).max
-
-    Report(endToEnd, readTotal, computeTotal, writeTotal, peak, plan.order.map(execEnd).toVector)
+    Report(endToEnd, readTotal, computeTotal, writeTotal, plan.order.map(execEnd).toVector)
   }
 }

@@ -22,8 +22,8 @@ object Metadata {
 
   /** Speedup scores t_i (§ IV) from calibrated sizes, by
     * `NfsModel.speedupScore`. `memCreateMs` is the paper's `time(create v_i
-    * in memory)`: in this substrate, the extra Spark action that
-    * materializes the cached DataFrame.
+    * in memory)`: in this substrate, filling the cached DataFrame during
+    * the node's Parquet write.
     */
   def speedupScores(workload: Workload, sizes: Map[String, Long], nfs: NfsModel,
                     memCreateMs: Double = 0.0): Map[String, Double] = {

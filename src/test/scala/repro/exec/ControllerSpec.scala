@@ -1,7 +1,7 @@
 package repro.exec
 
 import java.nio.file.{Files, Path}
-import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.QueryExecution
@@ -171,6 +171,58 @@ class ControllerSpec extends SparkSpec {
       val name = w.mvs(i).name
       assert(Option(scans.get(out.resolve(name).toString)) == Some(hasFlaggedParent(i)), name)
     }
+  }
+
+  test("a flagged output leaves Spark's cache once its last child has run") {
+    // rel_a's write charge lasts 3 s on the background channel, past the
+    // runs of rel_b, its only child, and rel_c, which reads no MV.
+    val wl = Workload("release", "release timing", "", Vector(
+      MvSpec("rel_a", "SELECT d_date_sk, d_year FROM date_dim"),
+      MvSpec("rel_b", "SELECT d_year, COUNT(*) AS cnt FROM rel_a GROUP BY d_year"),
+      MvSpec("rel_c", "SELECT d_year, COUNT(*) AS cnt FROM date_dim GROUP BY d_year")))
+    val sizes = Map("rel_a" -> 3000L, "rel_b" -> 1L, "rel_c" -> 1L)
+    val nfs = NfsModel(readBytesPerMs = 1e9, writeBytesPerMs = 1.0, latencyMs = 0)
+    val out = TestData.freshOutDir("release")
+    val cPath = out.resolve("rel_c").toString
+    // Whether Spark's cache is empty when rel_c's write has run.
+    val emptyAtC = new ConcurrentLinkedQueue[Boolean]()
+    val sentinel = new CountDownLatch(1)
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = qe.analyzed match {
+        case cmd: InsertIntoHadoopFsRelationCommand if cmd.outputPath.toUri.getPath == cPath =>
+          emptyAtC.add(spark.sharedState.cacheManager.isEmpty)
+        case _ => if (funcName == "collect") sentinel.countDown()
+      }
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.catalog.clearCache()
+    spark.listenerManager.register(listener)
+    try {
+      new Controller(spark, ds, ExecConfig(1L << 30, Some(nfs), out))
+        .run(wl, Plan(Vector(0, 1, 2), Set(0)), sizes)
+      spark.range(1).collect()
+      assert(sentinel.await(30, TimeUnit.SECONDS), "listener saw no events")
+    } finally spark.listenerManager.unregister(listener)
+    assert(emptyAtC.asScala.toSeq == Seq(true), "rel_a was still cached during rel_c's write")
+  }
+
+  test("an S/C refresh runs no action beside its writes") {
+    val actions = new ConcurrentLinkedQueue[String]()
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = actions.add(funcName)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = actions.add(funcName)
+    }
+    io1Plan // its no-opt calibration run stays out of the actions recorded
+    spark.listenerManager.register(listener)
+    try {
+      runIo1Sc("io1-actions")
+      // Listener events arrive in order; a sentinel action marks the end.
+      spark.range(1).collect()
+      val deadline = System.nanoTime() + 30_000_000_000L
+      while (!actions.contains("collect") && System.nanoTime() < deadline) Thread.sleep(50)
+    } finally spark.listenerManager.unregister(listener)
+    assert(actions.contains("collect"), "listener saw no events")
+    assert(!actions.contains("count"), s"actions: $actions")
   }
 
   test("a non-topological order is rejected before any MV runs") {

@@ -5,9 +5,9 @@ import repro.exec.NfsModel
 import repro.sim.Simulator.{Inputs, Report}
 
 /** `Simulator.simulate` as it was before its memory peak was derived from
-  * `Plan.residency`, kept verbatim as the reference the current simulator
-  * is compared against. The only change is that the node → position map
-  * is built inline instead of read from the removed `Plan.rank`.
+  * `Plan.residency`, kept verbatim as the reference the current simulator's
+  * time fields are compared against. The only change is that its memory
+  * peak, which the simulator no longer reports, is removed.
   */
 object ReferenceSimulator {
 
@@ -15,11 +15,9 @@ object ReferenceSimulator {
     require(dag.isTopological(plan.order), "simulate requires a topological order")
     require(in.sizes.size == dag.n && in.computeMs.size == dag.n && in.baseReadBytes.size == dag.n)
 
-    val rank = plan.order.zipWithIndex.toMap
     var t = 0.0          // foreground clock
     var bgFree = 0.0     // background materialization channel availability
     val execEnd = Array.ofDim[Double](dag.n)
-    val bgEnd = Array.ofDim[Double](dag.n) // flagged-node materialization end
     var readTotal, computeTotal, writeTotal = 0.0
 
     plan.order.foreach { i =>
@@ -36,7 +34,6 @@ object ReferenceSimulator {
         t += read + compute + cost.memMs(in.sizes(i)) + in.memCreateMs
         execEnd(i) = t
         bgFree = math.max(t, bgFree) + w
-        bgEnd(i) = bgFree
       } else {
         t += read + compute + w
         execEnd(i) = t
@@ -45,19 +42,6 @@ object ReferenceSimulator {
 
     val endToEnd = math.max(t, bgFree)
 
-    // Peak Memory-Catalog bytes over continuous time: a flagged node is
-    // resident from its execution end until max(last child exec end, its
-    // own background-write end). Sample at every event boundary.
-    val flagged = plan.flagged.toVector.sortBy(rank)
-    val residentUntil = flagged.map { j =>
-      val lastChild = dag.children(j).map(execEnd).foldLeft(0.0)(math.max)
-      j -> math.max(math.max(lastChild, bgEnd(j)), execEnd(j))
-    }.toMap
-    val events = (flagged.map(execEnd(_)) ++ flagged.map(residentUntil)).distinct.sorted
-    val peak = events.map { e =>
-      flagged.filter(j => execEnd(j) <= e && e < residentUntil(j)).map(in.sizes(_)).sum
-    }.foldLeft(0L)(math.max)
-
-    Report(endToEnd, readTotal, computeTotal, writeTotal, peak, plan.order.map(execEnd).toVector)
+    Report(endToEnd, readTotal, computeTotal, writeTotal, plan.order.map(execEnd).toVector)
   }
 }

@@ -26,7 +26,6 @@ class SimulatorSpec extends AnyFunSuite {
     assert(r.tableReadMs == 20 + 10 + 10)
     assert(r.computeMs == 30)
     assert(r.writeMs == 20 + 10 + 10)
-    assert(r.peakMemoryBytes == 0)
     assert(r.queryMs == r.tableReadMs + r.computeMs)
   }
 
@@ -37,8 +36,6 @@ class SimulatorSpec extends AnyFunSuite {
     // fg total ≈ 30.1 + 20.05 + 20.05 = 70.2; bg ends at 50.1 < fg end.
     assert(r.endToEndMs < 110) // strictly better than the 110 of no-flag
     assert(math.abs(r.endToEndMs - 70.2) < 0.5)
-    assert(r.peakMemoryBytes == 1000)
-    // Fig 6 t4: MV1 resident until MV3 done and materialization finished.
     assert(r.tableReadMs < 41) // the two 10 ms disk reads became memory reads
   }
 
@@ -58,13 +55,6 @@ class SimulatorSpec extends AnyFunSuite {
     val i = Simulator.Inputs(Vector(1000L), Vector(1.0), Vector(0L))
     val r = Simulator.simulate(d, Plan(Vector(0), Set(0)), cost, i)
     assert(r.endToEndMs >= 20.0) // the write itself
-  }
-
-  test("peak memory accounts overlapping flagged lifetimes") {
-    val d = Dag.of(Seq(100, 200, 10), Seq(1, 1, 1), Set((0, 2), (1, 2)))
-    val i = Simulator.Inputs(Vector(100L, 200L, 10L), Vector(1.0, 1.0, 1.0), Vector(0L, 0L, 0L))
-    val r = Simulator.simulate(d, Plan(Vector(0, 1, 2), Set(0, 1)), cost, i)
-    assert(r.peakMemoryBytes == 300)
   }
 
   test("rejects non-topological order") {
@@ -143,7 +133,6 @@ class SimulatorSpec extends AnyFunSuite {
       assert(got.computeMs == want.computeMs, s"case $s")
       assert(got.writeMs == want.writeMs, s"case $s")
       assert(got.nodeEndMs == want.nodeEndMs, s"case $s")
-      assert(got.peakMemoryBytes == want.peakMemoryBytes, s"case $s")
       val childless = plan.flagged.count(d.children(_).isEmpty)
       childlessFlagged += childless
       if (nfs == NfsModel.free && i.memCreateMs == 0.0) zeroLength += childless
