@@ -20,7 +20,10 @@ object AlternatingOpt {
       order: (Dag, Set[Int]) => Vector[Int],
   )
 
-  /** S/C's own configuration: exact MKP + memory-aware DFS. */
+  /** S/C's own configuration: MKP (optimal when its search finishes under
+    * the 200k-node cap, otherwise the best set found within it) +
+    * memory-aware DFS.
+    */
   val scSolvers: Solvers = Solvers(SimplifiedMkp.solve, MaDfs.order)
 
   /** Result of the optimization plus the number of iterations it took. */

@@ -166,29 +166,56 @@ object MkpSolver {
     private var best    = -1.0
     private var visited = 0L
 
+    // Per item, the row of its interval where its weight last did not fit
+    // (its first row until then). An item that failed usually fails there
+    // again, so reserve tests that row before it scans.
+    private val rejectedAt = first.clone()
+
     /** Reserves item y's weight in every row of its interval if it fits
-      * each remaining capacity, in one pass; if it does not, returns what
-      * the pass already reserved and reports false.
+      * each remaining capacity; if it does not, reserves nothing and reports
+      * false. The row that last rejected y is tested first. The scan then
+      * takes two rows per step: y fits a row iff the row's remainder after
+      * it is ≥ 0, so one sign test of `a | b` checks both.
       */
     private def reserve(y: Int): Boolean = {
       val w = weights(y)
+      if (w > remCap(rejectedAt(y))) return false
+      val e = last(y)
       var x = first(y)
-      while (x <= last(y)) {
-        if (w > remCap(x)) {
-          while (x > first(y)) { x -= 1; remCap(x) += w }
-          return false
-        }
-        remCap(x) -= w
-        x += 1
+      while (x < e) {
+        val a = remCap(x) - w
+        val b = remCap(x + 1) - w
+        if ((a | b) < 0) return reject(y, x, if (a < 0) x else x + 1)
+        remCap(x) = a
+        remCap(x + 1) = b
+        x += 2
+      }
+      if (x == e) {
+        if (w > remCap(e)) return reject(y, e, e)
+        remCap(e) -= w
       }
       true
     }
 
-    /** Returns item y's reserved weight. */
-    private def release(y: Int): Unit = {
+    /** Ends a failed [[reserve]] of item y: returns its weight to the rows
+      * before `end`, which the scan had reserved, and records that `row`
+      * rejected it. Reports false.
+      */
+    private def reject(y: Int, end: Int, row: Int): Boolean = {
+      rejectedAt(y) = row
       val w = weights(y)
       var x = first(y)
-      while (x <= last(y)) { remCap(x) += w; x += 1 }
+      while (x < end) { remCap(x) += w; x += 1 }
+      false
+    }
+
+    /** Returns item y's reserved weight, two rows per step like [[reserve]]. */
+    private def release(y: Int): Unit = {
+      val w = weights(y)
+      val e = last(y)
+      var x = first(y)
+      while (x < e) { remCap(x) += w; remCap(x + 1) += w; x += 2 }
+      if (x == e) remCap(e) += w
     }
 
     /** Whether the partition bound over undecided items (see above) exceeds

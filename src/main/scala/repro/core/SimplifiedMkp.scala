@@ -1,10 +1,12 @@
 package repro.core
 
-/** Algorithm 1 — SimplifiedMKP: the exact solution to S/C Opt Nodes.
+/** Algorithm 1 — SimplifiedMKP: the node selector of S/C Opt Nodes.
   *
   * Given an execution order τ it (1) excludes oversized / zero-score nodes,
   * (2) builds the maximal non-trivial alive-set constraints, (3) solves the
-  * resulting 0-1 MKP exactly, and (4) trivially flags every non-excluded
+  * resulting 0-1 MKP with [[MkpSolver.search]], whose selection is optimal
+  * when the search finishes under its 200k-node cap and otherwise the best
+  * set found within it, and (4) trivially flags every non-excluded
   * node that appears in no kept constraint set (flagging those can never
   * violate the budget — every coexistence instant is covered by some
   * alive-set, and all sets containing only such nodes are trivial).

@@ -181,6 +181,23 @@ class MkpSolverSpec extends AnyFunSuite {
     }
   }
 
+  test("search equals the reference solver when the row that rejects an item moves") {
+    // Long intervals over 20–60 rows under a tight capacity: as the items
+    // around it are included and excluded, an item rejected at one row is
+    // later rejected at another, or fits.
+    (0 until 40).foreach { seed =>
+      val rnd = new Random(9000 + seed)
+      val k = 20 + rnd.nextInt(41)
+      val items = Vector.fill(8 + rnd.nextInt(17)) {
+        val len = k / 3 + rnd.nextInt(k - k / 3)
+        val first = rnd.nextInt(k - len + 1)
+        (1.0 + rnd.nextInt(100), first, first + len - 1, 1L + rnd.nextInt(100))
+      }
+      val capacity = dense(items, k).map(_.sum).max * (1 + rnd.nextInt(2)) / 4
+      assertSameSearch(s"seed $seed", items, capacity, k)
+    }
+  }
+
   test("search equals the reference solver on DagGen alive-set instances") {
     val GB = 1L << 30
     for {

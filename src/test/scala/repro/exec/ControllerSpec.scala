@@ -3,6 +3,7 @@ package repro.exec
 import java.nio.file.{Files, Path}
 import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
+import org.apache.spark.ActiveJobs
 import org.apache.spark.sql.AnalysisException
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
@@ -297,7 +298,8 @@ class ControllerSpec extends SparkSpec {
 
   test("a failed run leaves no cached DataFrames or background writes behind") {
     withTaskFailuresQuiet {
-      // A flagged node starts its background write; the next node fails.
+      // A flagged node's write fills its cache entry and its modeled
+      // transfer is charged in the background; the next node fails.
       val faulty = Workload("fault", "fault injection", "", Vector(
         MvSpec("fault_a", "SELECT * FROM store_sales"),
         MvSpec("fault_b", "SELECT no_such_column FROM fault_a")))
@@ -306,7 +308,7 @@ class ControllerSpec extends SparkSpec {
       intercept[AnalysisException](new Controller(spark, ds, ExecConfig(1L << 30, None, out))
         .run(faulty, Plan(Vector(0, 1), Set(0)), Map("fault_a" -> 1L)))
       assert(spark.sharedState.cacheManager.isEmpty)
-      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(ActiveJobs.ids(spark.sparkContext).isEmpty)
       assert(Files.exists(out.resolve("fault_a").resolve("_SUCCESS")))
       assert(mvViews(faulty).isEmpty, "MV temp views left behind")
 
@@ -317,7 +319,7 @@ class ControllerSpec extends SparkSpec {
         .run(failing, Plan(Vector(0), Set(0)), Map("fault_c" -> 1L)))
       assert(e.getMessage.contains("is not true"), e.getMessage)
       assert(spark.sharedState.cacheManager.isEmpty)
-      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(ActiveJobs.ids(spark.sparkContext).isEmpty)
       assert(mvViews(failing).isEmpty, "MV temp views left behind")
 
       // Under LRU, a cacheable statement is persisted before its write fails.
@@ -329,7 +331,7 @@ class ControllerSpec extends SparkSpec {
         .runLru(lruFailing, lruSizes))
       assert(e2.getMessage.contains("is not true"), e2.getMessage)
       assert(spark.sharedState.cacheManager.isEmpty)
-      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(ActiveJobs.ids(spark.sparkContext).isEmpty)
       assert(mvViews(lruFailing).isEmpty, "MV temp views left behind")
     }
   }
@@ -429,7 +431,7 @@ class ControllerSpec extends SparkSpec {
       assert(e.getMessage.contains("is not true"), e.getMessage)
       assert(spark.sharedState.cacheManager.isEmpty)
       assert(spark.sparkContext.getPersistentRDDs.isEmpty)
-      assert(spark.sparkContext.statusTracker.getActiveJobIds().isEmpty)
+      assert(ActiveJobs.ids(spark.sparkContext).isEmpty)
       assert(mvViews(shuffled).isEmpty, "MV temp views left behind")
     }
   }
