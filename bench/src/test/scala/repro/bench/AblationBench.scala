@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Methods
-import repro.core.{AlternatingOpt, Plan}
+import repro.core.AlternatingOpt
 import repro.sim.Simulator
 import repro.workload.{Dataset, Workloads}
 
@@ -24,7 +24,7 @@ class AblationBench extends AnyFunSuite {
   private def runCase(name: String, ds: Dataset, pct: Double): Unit = {
     val noOpt = Workloads.all.map { w =>
       val d = BenchData.dag(ds, w)
-      Simulator.simulate(d, Plan(d.topological, Set.empty), BenchData.nfs(ds),
+      Simulator.simulate(d, Methods.plan("no-opt", d, 0L), BenchData.nfs(ds),
         BenchData.simInputs(ds, w)).endToEndMs
     }.sum
     val results = Methods.ablations.map { case (label, s) => label -> simulatedTotal(ds, pct, s) }

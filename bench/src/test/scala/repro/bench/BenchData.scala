@@ -11,8 +11,8 @@ import repro.workload.{Dataset, Metadata, TestData, TpcDsLite, Workload, Workloa
 
 /** Shared benchmark fixture: one generated TPC-DS-lite dataset pair per
   * bench JVM at SF 0.01, per-workload calibrations, and memoized method
-  * runs so Table III, Table IV, Table V and the Fig 9 comparison reuse the
-  * same executions.
+  * runs so Table III, Table IV and the Fig 9 comparison reuse the same
+  * executions.
   *
   * The modeled NFS scans the whole dataset in `NfsModel.scaledTo`'s default
   * 8 s. Tables are written to REPRO_RESULTS_DIR, which build.sbt sets to

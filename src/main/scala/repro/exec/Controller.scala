@@ -278,13 +278,12 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
 object Controller {
   /** Spark settings every session that runs a Controller is built with: no
-    * broadcast joins (every join takes the shuffle path) and FAIR
-    * scheduling. The Controller names no scheduler pool, so its jobs share
-    * the default pool, which runs them in FIFO order; perfbench's session
-    * sets the same mode.
+    * broadcast joins, so every join takes the shuffle path. The scheduler
+    * mode is left at Spark's default: a refresh runs its statements one
+    * after another on the driver thread, and the background channel only
+    * sleeps, so no two MVs' Spark jobs run at once.
     */
-  val SparkSettings: Map[String, String] = Map(
-    "spark.sql.autoBroadcastJoinThreshold" -> "-1", "spark.scheduler.mode" -> "FAIR")
+  val SparkSettings: Map[String, String] = Map("spark.sql.autoBroadcastJoinThreshold" -> "-1")
 
   /** Sleeps `ms` milliseconds, to the nanosecond: a modeled NFS charge is
     * slept in full, however small or fractional.

@@ -10,7 +10,8 @@ object ActiveJobs {
   /** The active job ids after draining the listener bus. The end event of a
     * failed job can be posted after the job's caller has been woken, so
     * while a job is still listed this drains and reads again, for up to
-    * 10 s: a job that stays active beyond that is returned.
+    * 10 s: a job that stays active beyond that is returned. The end events
+    * of the jobs no longer listed have reached every listener on return.
     */
   def ids(sc: SparkContext): Seq[Int] = {
     val deadline = System.nanoTime() + TimeoutNs
@@ -21,6 +22,9 @@ object ActiveJobs {
       sc.listenerBus.waitUntilEmpty()
       ids = sc.statusTracker.getActiveJobIds().toSeq
     }
+    // The status store can list a job as ended before another listener's
+    // queue has delivered that end event.
+    sc.listenerBus.waitUntilEmpty()
     ids
   }
 }

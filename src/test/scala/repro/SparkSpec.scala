@@ -1,11 +1,11 @@
 package repro
 
-import java.util.Properties
-import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
 import scala.jdk.CollectionConverters._
 import org.apache.logging.log4j.{Level, LogManager}
 import org.apache.logging.log4j.core.config.Configurator
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.ActiveJobs
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -23,29 +23,30 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** Runs `body` and returns its result with the local properties of every
-    * Spark job started meanwhile, in start order.
+  /** Runs `body` and returns its result with every Spark job started
+    * meanwhile, in start order.
     */
-  def withJobs[A](body: => A): (A, Vector[Properties]) = {
+  def withJobs[A](body: => A): (A, Vector[SparkSpec.Job]) = {
     val sc = spark.sparkContext
-    val sentinelGroup = "withJobs-sentinel"
-    val started = new ConcurrentLinkedQueue[Properties]()
-    val sentinel = new CountDownLatch(1)
+    val started = new ConcurrentLinkedQueue[SparkListenerJobStart]()
+    val ended = new ConcurrentHashMap[Int, Long]()
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = {
-        val props = Option(e.properties).getOrElse(new Properties)
-        if (props.getProperty("spark.jobGroup.id") == sentinelGroup) sentinel.countDown()
-        else started.add(props)
-      }
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.add(e)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = ended.put(e.jobId, e.time)
     }
     sc.addSparkListener(listener)
     try {
       val a = body
-      // Listener events arrive in order; a sentinel job marks the end.
-      sc.setJobGroup(sentinelGroup, "end of withJobs")
-      try spark.range(1).collect() finally sc.clearJobGroup()
-      assert(sentinel.await(30, TimeUnit.SECONDS), "listener saw no sentinel job")
-      (a, started.asScala.toVector)
+      // Once no job is active and the bus is drained, the listener has seen
+      // every start and end event of `body`'s jobs.
+      val running = ActiveJobs.ids(sc)
+      assert(running.isEmpty, s"jobs $running still running after the body")
+      val jobs = started.asScala.toVector.map { e =>
+        assert(ended.containsKey(e.jobId), s"job ${e.jobId} has no end event")
+        val description = Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description")))
+        SparkSpec.Job(description, e.time, ended.get(e.jobId))
+      }
+      (a, jobs)
     } finally sc.removeSparkListener(listener)
   }
 
@@ -61,6 +62,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  /** One Spark job: its description and its start and end times, in epoch
+    * milliseconds.
+    */
+  final case class Job(description: Option[String], startMs: Long, endMs: Long)
+
   /** Loggers that print a stack trace for every task of a failing job. */
   private val TaskFailureLoggers = Seq(
     "org.apache.spark.executor.Executor",

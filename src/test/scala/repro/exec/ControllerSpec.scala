@@ -51,11 +51,10 @@ class ControllerSpec extends SparkSpec {
     assert(plan.flagged.nonEmpty, "expected a nonempty flagged set")
     plan
   }
-  private def runIo1Sc(tag: String): Path = {
+  private def runIo1Sc(tag: String, nfs: Option[NfsModel] = None): (RunReport, Path) = {
     val out = TestData.freshOutDir(tag)
-    new Controller(spark, ds, ExecConfig(ds.totalBytes, None, out))
-      .run(Workloads.io1, io1Plan, io1Base._1.sizes)
-    out
+    (new Controller(spark, ds, ExecConfig(ds.totalBytes, nfs, out))
+      .run(Workloads.io1, io1Plan, io1Base._1.sizes), out)
   }
 
   private lazy val baseline: (RunReport, java.nio.file.Path) = {
@@ -356,7 +355,7 @@ class ControllerSpec extends SparkSpec {
     // partition. Cached before AQE coalesced its shuffle partitions, it
     // would have up to one per spark.sql.shuffle.partitions.
     val (_, noOptOut) = io1Base
-    val scOut = runIo1Sc("io1-files")
+    val (_, scOut) = runIo1Sc("io1-files")
     def partFiles(dir: Path, name: String): Int = {
       val s = Files.list(dir.resolve(name))
       try s.iterator.asScala.count(_.getFileName.toString.startsWith("part-"))
@@ -368,17 +367,40 @@ class ControllerSpec extends SparkSpec {
     }
   }
 
+  /** The Spark jobs of an io1 S/C refresh with modeled delays, whose
+    * background channel sleeps while later MVs run, and the job description
+    * the driver thread holds after it.
+    */
+  private lazy val io1DelayedJobs: (RunReport, String, Vector[SparkSpec.Job]) = {
+    io1Plan // its no-opt calibration run stays out of the jobs counted
+    val ((report, driverDesc), jobs) = withJobs {
+      val (r, _) = runIo1Sc("io1-jobs", Some(NfsModel.scaledTo(ds.totalBytes, fullReadSeconds = 1.0)))
+      (r, spark.sparkContext.getLocalProperty("spark.job.description"))
+    }
+    (report, driverDesc, jobs)
+  }
+
   test("every Spark job of a run names its method and MV") {
     val names = Workloads.io1.mvs.map(_.name).toSet
-    io1Plan // its no-opt calibration run stays out of the jobs counted
-    val (driverDesc, jobs) = withJobs {
-      runIo1Sc("io1-tags")
-      spark.sparkContext.getLocalProperty("spark.job.description")
-    }
+    val (_, driverDesc, jobs) = io1DelayedJobs
     assert(driverDesc == null, "the driver thread kept a job description")
     assert(jobs.nonEmpty)
-    jobs.map(p => Option(p.getProperty("spark.job.description"))).foreach { d =>
+    jobs.map(_.description).foreach { d =>
       assert(d.exists(s => s.startsWith("sc ") && names(s.drop(3))), d)
+    }
+  }
+
+  test("no two MVs' Spark jobs of an S/C refresh run at the same time") {
+    val (report, _, jobs) = io1DelayedJobs
+    assert(report.writeBackgroundMs > 0, "no charge was slept on the background channel")
+    // AQE submits an MV's shuffle map stages as jobs of their own, so the
+    // jobs of one statement may overlap; those of different MVs may not.
+    val spans = jobs.groupBy(_.description).toVector.map { case (mv, js) =>
+      (js.map(_.startMs).min, js.map(_.endMs).max, mv)
+    }.sorted
+    assert(spans.size == Workloads.io1.mvs.size)
+    spans.zip(spans.tail).foreach { case ((_, end, a), (start, _, b)) =>
+      assert(end <= start, s"$a ran until $end, after $b started at $start")
     }
   }
 

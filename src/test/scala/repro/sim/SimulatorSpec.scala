@@ -140,32 +140,3 @@ class SimulatorSpec extends AnyFunSuite {
     assert(childlessFlagged > 0 && zeroLength > 0)
   }
 }
-
-class ClusterSimSpec extends AnyFunSuite {
-  test("single worker is the measured runtime") {
-    assert(ClusterSim.scale(1000, 1) == 1000.0)
-  }
-
-  test("runtime decreases sublinearly with workers") {
-    val t = (1 to 5).map(ClusterSim.scale(1000, _))
-    assert(t == t.sorted.reverse)
-    assert(t(4) > 1000.0 / 5) // slower than perfect scaling
-  }
-
-  test("speedup ratio is preserved across cluster sizes (Table V claim)") {
-    val rows = ClusterSim.table(1528000, 934000)
-    rows.foreach(r => assert(math.abs(r.speedup - rows.head.speedup) < 1e-9))
-  }
-
-  test("fits the paper's no-opt scaling within 10%") {
-    val paper = Map(1 -> 1528.0, 2 -> 868.0, 3 -> 656.0, 4 -> 546.0, 5 -> 487.0)
-    paper.foreach { case (k, s) =>
-      val model = ClusterSim.scale(1528.0, k)
-      assert(math.abs(model - s) / s < 0.10, s"k=$k model=$model paper=$s")
-    }
-  }
-
-  test("rejects zero workers") {
-    assertThrows[IllegalArgumentException](ClusterSim.scale(1.0, 0))
-  }
-}
