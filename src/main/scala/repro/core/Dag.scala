@@ -23,7 +23,7 @@ final case class MvNode(id: Int, name: String, sizeBytes: Long, speedupMs: Doubl
   * `topological` throws, and `isTopological` is false for every order.
   */
 final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
-  require(nodes.zipWithIndex.forall { case (nd, i) => nd.id == i },
+  require(nodes.indices.forall(i => nodes(i).id == i),
     "node ids must equal their position in the nodes vector")
   require(edges.forall { case (p, c) => p != c && valid(p) && valid(c) },
     "edge endpoints must be distinct, existing nodes")
@@ -33,18 +33,14 @@ final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
   /** Number of nodes n = |V|. */
   val n: Int = nodes.size
 
-  /** children(i): nodes that consume i's output, sorted for determinism. */
-  val children: Vector[Vector[Int]] = {
-    val b = Vector.fill(n)(Vector.newBuilder[Int])
-    edges.toSeq.sorted.foreach { case (p, c) => b(p) += c }
-    b.map(_.result())
-  }
-
-  /** parents(i): nodes whose output i consumes, sorted for determinism. */
-  val parents: Vector[Vector[Int]] = {
-    val b = Vector.fill(n)(Vector.newBuilder[Int])
-    edges.toSeq.sorted.foreach { case (p, c) => b(c) += p }
-    b.map(_.result())
+  /** children(i): nodes that consume i's output, and parents(i): nodes
+    * whose output i consumes; both sorted for determinism.
+    */
+  val (children: Vector[Vector[Int]], parents: Vector[Vector[Int]]) = {
+    val from, to = new Array[Int](edges.size)
+    var k = 0
+    edges.foreach { case (p, c) => from(k) = p; to(k) = c; k += 1 }
+    (Dag.buckets(n, from, to), Dag.buckets(n, to, from))
   }
 
   /** Deterministic topological order (Kahn's algorithm, smallest id first).
@@ -96,6 +92,26 @@ final case class Dag(nodes: Vector[MvNode], edges: Set[(Int, Int)]) {
 }
 
 object Dag {
+  /** For each node i, the sorted `value(e)` of the edges e with `key(e)` = i. */
+  private def buckets(n: Int, key: Array[Int], value: Array[Int]): Vector[Vector[Int]] = {
+    val fill = new Array[Int](n)
+    key.foreach(i => fill(i) += 1)
+    val b = Array.tabulate(n)(i => new Array[Int](fill(i)))
+    java.util.Arrays.fill(fill, 0)
+    var e = 0
+    while (e < key.length) { val i = key(e); b(i)(fill(i)) = value(e); fill(i) += 1; e += 1 }
+    // A builder loop: `a.toVector` would box each element through the
+    // generic array copy.
+    Vector.tabulate(n) { i =>
+      val a = b(i)
+      java.util.Arrays.sort(a)
+      val v = Vector.newBuilder[Int]
+      var j = 0
+      while (j < a.length) { v += a(j); j += 1 }
+      v.result()
+    }
+  }
+
   /** Convenience constructor from (size, speedup) pairs; names are v0..v{n-1}. */
   def of(sizes: Seq[Long], speedups: Seq[Double], edges: Set[(Int, Int)]): Dag = {
     require(sizes.size == speedups.size)

@@ -278,12 +278,16 @@ final class Controller(spark: SparkSession, dataset: Dataset, cfg: ExecConfig) {
 
 object Controller {
   /** Spark settings every session that runs a Controller is built with: no
-    * broadcast joins, so every join takes the shuffle path. The scheduler
-    * mode is left at Spark's default: a refresh runs its statements one
-    * after another on the driver thread, and the background channel only
-    * sleeps, so no two MVs' Spark jobs run at once.
+    * broadcast joins, so every join takes the shuffle path, and `file:` is
+    * [[NioLocalFileSystem]], which sets permissions without forking `chmod`.
+    * The scheduler mode is left at Spark's default: a refresh runs its
+    * statements one after another on the driver thread, and the background
+    * channel only sleeps, so no two MVs' Spark jobs run at once.
     */
-  val SparkSettings: Map[String, String] = Map("spark.sql.autoBroadcastJoinThreshold" -> "-1")
+  val SparkSettings: Map[String, String] = Map(
+    "spark.sql.autoBroadcastJoinThreshold" -> "-1",
+    "spark.hadoop.fs.file.impl" -> classOf[NioLocalFileSystem].getName,
+  )
 
   /** Sleeps `ms` milliseconds, to the nanosecond: a modeled NFS charge is
     * slept in full, however small or fractional.

@@ -61,7 +61,7 @@ object DagGen {
   final case class Generated(dag: Dag, ops: Vector[Op], stageOf: Vector[Int])
 
   private def pick(rnd: Random, dist: Vector[(Op, Double)]): Op = {
-    val r = rnd.nextDouble() * dist.map(_._2).sum
+    val r = rnd.nextDouble() * dist.foldLeft(0.0)(_ + _._2)
     var acc = 0.0
     dist.collectFirst { case (op, p) if { acc += p; r < acc } => op }
       .getOrElse(dist.last._1)
@@ -69,78 +69,93 @@ object DagGen {
 
   def generate(p: Params): Generated = {
     require(p.nNodes >= 1)
+    val n = p.nNodes
     val rnd = new Random(p.seed)
 
     // Stage layout: height/width ≈ ratio, height·width ≈ n; per-stage node
     // counts jittered by StageStdev then rescaled to exactly n nodes.
-    val height = math.max(1, math.round(math.sqrt(p.nNodes * HeightWidthRatio)).toInt)
-    val baseWidth = p.nNodes.toDouble / height
-    val rawCounts = Vector.fill(height)(math.max(1.0, baseWidth + rnd.nextGaussian() * StageStdev))
-    val scale = p.nNodes / rawCounts.sum
-    val counts = {
-      val c = rawCounts.map(x => math.max(1, math.round(x * scale).toInt)).toArray
-      var diff = p.nNodes - c.sum
-      var i = 0
-      while (diff != 0) { // distribute rounding remainder deterministically
-        val j = i % height
-        if (diff > 0) { c(j) += 1; diff -= 1 }
-        else if (c(j) > 1) { c(j) -= 1; diff += 1 }
-        i += 1
-      }
-      c.toVector
+    val height = math.max(1, math.round(math.sqrt(n * HeightWidthRatio)).toInt)
+    val baseWidth = n.toDouble / height
+    val rawCounts = Array.fill(height)(math.max(1.0, baseWidth + rnd.nextGaussian() * StageStdev))
+    val scale = n / rawCounts.foldLeft(0.0)(_ + _)
+    val counts = rawCounts.map(x => math.max(1, math.round(x * scale).toInt))
+    var diff = n - counts.sum
+    var i = 0
+    while (diff != 0) { // distribute rounding remainder deterministically
+      val j = i % height
+      if (diff > 0) { counts(j) += 1; diff -= 1 }
+      else if (counts(j) > 1) { counts(j) -= 1; diff += 1 }
+      i += 1
     }
-    val stageOf = counts.zipWithIndex.flatMap { case (cnt, s) => Vector.fill(cnt)(s) }
-    val byStage = stageOf.zipWithIndex.groupMap(_._1)(_._2).view.mapValues(_.toVector).toMap
+    // Stage s holds the nodes [first(s), first(s + 1)); first(height) = n.
+    val first = counts.scanLeft(0)(_ + _)
+    val stageOf = new Array[Int](n)
+    for (s <- 0 until height) java.util.Arrays.fill(stageOf, first(s), first(s + 1), s)
 
     // Edges: every non-root node gets ≥1 parent in the previous stage
     // (respecting parents' remaining out-degree budget when possible);
     // extra edges flow forward until each node meets its sampled out-degree.
-    val outBudget = Vector.tabulate(p.nNodes)(_ => rnd.nextInt(MaxOutDegree + 1)).toArray
-    val outUsed = Array.fill(p.nNodes)(0)
-    val edges = scala.collection.mutable.Set.empty[(Int, Int)]
-    (1 until height).foreach { s =>
-      byStage(s).foreach { v =>
-        val prev = byStage(s - 1)
-        val withBudget = prev.filter(u => outUsed(u) < outBudget(u))
-        val parent = (if (withBudget.nonEmpty) withBudget else prev)(
-          rnd.nextInt(if (withBudget.nonEmpty) withBudget.size else prev.size))
-        edges += ((parent, v))
-        outUsed(parent) += 1
-      }
+    val outBudget = Array.fill(n)(rnd.nextInt(MaxOutDegree + 1))
+    val outUsed = new Array[Int](n)
+    val adj = new Array[Boolean](n * n) // adj(u * n + v): edge (u, v)
+    // A node gets at most one previous-stage edge beyond its budget.
+    val from, to = new Array[Int](n * (MaxOutDegree + 1))
+    var nEdges = 0
+    def link(u: Int, v: Int): Unit = {
+      adj(u * n + v) = true
+      outUsed(u) += 1
+      from(nEdges) = u; to(nEdges) = v; nEdges += 1
     }
-    (0 until p.nNodes).foreach { u =>
-      val later = ((stageOf(u) + 1) until height).flatMap(byStage(_))
+    val withBudget = new Array[Int](n)
+    for (s <- 1 until height; v <- first(s) until first(s + 1)) {
+      var k = 0
+      var u = first(s - 1)
+      while (u < first(s)) {
+        if (outUsed(u) < outBudget(u)) { withBudget(k) = u; k += 1 }
+        u += 1
+      }
+      link(if (k > 0) withBudget(rnd.nextInt(k)) else first(s - 1) + rnd.nextInt(counts(s - 1)), v)
+    }
+    for (u <- 0 until n) {
+      val later = first(stageOf(u) + 1) // the later stages' nodes are [later, n)
       var guard = 0
-      while (outUsed(u) < outBudget(u) && later.nonEmpty && guard < 4 * MaxOutDegree) {
-        val v = later(rnd.nextInt(later.size))
-        if (!edges.contains((u, v))) { edges += ((u, v)); outUsed(u) += 1 }
+      while (outUsed(u) < outBudget(u) && later < n && guard < 4 * MaxOutDegree) {
+        val v = later + rnd.nextInt(n - later)
+        if (!adj(u * n + v)) link(u, v)
         guard += 1
       }
     }
 
-    // Operations via the Markov chain (roots are scans), then sizes.
-    val ops = Array.ofDim[Op](p.nNodes)
-    val sizes = Array.ofDim[Long](p.nNodes)
-    val parentsOf: Int => Vector[Int] = {
-      val m = edges.toVector.groupMap(_._2)(_._1)
-      v => m.getOrElse(v, Vector.empty).sorted
-    }
-    (0 until p.nNodes).foreach { v =>
-      val ps = parentsOf(v)
-      if (ps.isEmpty) {
+    // Operations via the Markov chain (roots are scans), then sizes. A
+    // node's parents lie in earlier stages; its op follows the first one's.
+    val ops = new Array[Op](n)
+    val sizes = new Array[Long](n)
+    for (v <- 0 until n) {
+      var firstParent = -1
+      var in = 0L
+      var u = 0
+      while (u < first(stageOf(v))) {
+        if (adj(u * n + v)) {
+          if (firstParent < 0) firstParent = u
+          in = math.max(in, sizes(u))
+        }
+        u += 1
+      }
+      if (firstParent < 0) {
         ops(v) = Scan
         sizes(v) = baseTableBytes(rnd.nextInt(baseTableBytes.size))
       } else {
-        ops(v) = pick(rnd, transitions(ops(ps.head)))
-        val in = ps.map(sizes(_)).max
+        ops(v) = pick(rnd, transitions(ops(firstParent)))
         sizes(v) = math.max(1L << 20, (in * sizeFactor(ops(v), rnd)).toLong)
       }
     }
 
     // outUsed(v) counts v's out-edges, i.e. its children.
-    val nodes = (0 until p.nNodes).map { v =>
+    val nodes = Vector.tabulate(n) { v =>
       MvNode(v, s"g$v", sizes(v), NfsModel.paperEnvironment.speedupScore(outUsed(v), sizes(v), 0.0))
-    }.toVector
-    Generated(Dag(nodes, edges.toSet), ops.toVector, stageOf)
+    }
+    val edges = Set.newBuilder[(Int, Int)]
+    for (e <- 0 until nEdges) edges += ((from(e), to(e)))
+    Generated(Dag(nodes, edges.result()), ops.toVector, stageOf.toVector)
   }
 }

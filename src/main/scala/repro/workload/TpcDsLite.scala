@@ -1,6 +1,9 @@
 package repro.workload
 
 import java.nio.file.{Files, Path}
+import java.util.concurrent.Executors
+import scala.concurrent.duration.Duration
+import scala.concurrent.{Await, ExecutionContext, Future}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -12,7 +15,7 @@ import org.apache.spark.sql.types._
   * @param partitioned    true for the date-partitioned variant (TPC-DSp)
   * @param tableBytes     on-disk bytes of each table
   * @param partitionBytes for partitioned sales tables: table → year → bytes
-  * @param schemas        Spark schema of each table as read from its Parquet,
+  * @param schemas        Spark schema of each table as Parquet reads it back,
   *                       partition column last
   */
 final case class Dataset(
@@ -92,6 +95,9 @@ object TpcDsLite {
     * a 4-core host's default).
     */
   private val Partitions = 4
+
+  /** Threads that write tables at once in `generate`. */
+  private val WriterThreads = 4
 
   private def n(base: Long, sf: Double): Long = math.max(10L, (base * sf).toLong)
   private def nStore(sf: Double): Long = math.max(4L, (50 * sf).toLong)
@@ -185,20 +191,30 @@ object TpcDsLite {
   /** Generate the dataset under `dir`, writing each table as Parquet.
     * For `partitioned = true` the three sales tables gain their channel's
     * `yearCol` and are written `partitionBy` that column (TPC-DSp).
+    *
+    * The tables are independent and each is generated per partition, so
+    * they are written concurrently, by a few threads, with the same files
+    * as one after another. Each schema is the written DataFrame's, nullable
+    * as Parquet reads it back; the partition column is already last.
     */
   def generate(spark: SparkSession, dir: Path, sf: Double, partitioned: Boolean): Dataset = {
     Files.createDirectories(dir)
-    AllTables.foreach { t =>
-      val path = dir.resolve(t).toString
-      Channels.find(c => partitioned && c.table == t) match {
+    def write(t: String): StructType = {
+      val (df, yearCol) = Channels.find(c => partitioned && c.table == t) match {
         case Some(c) =>
           val dd = dateDim(spark).select(col("d_date_sk") as "yd_sk", col("d_year") as c.yearCol)
-          sales(spark, c, sf).join(dd, col(c.date) === col("yd_sk"), "left").drop("yd_sk")
-            .write.mode("overwrite").partitionBy(c.yearCol).parquet(path)
-        case None =>
-          table(spark, t, sf).write.mode("overwrite").parquet(path)
+          (sales(spark, c, sf).join(dd, col(c.date) === col("yd_sk"), "left").drop("yd_sk"), Some(c.yearCol))
+        case None => (table(spark, t, sf), None)
       }
+      val w = df.write.mode("overwrite")
+      yearCol.fold(w)(w.partitionBy(_)).parquet(dir.resolve(t).toString)
+      StructType(df.schema.map(_.copy(nullable = true)))
     }
+    val pool = Executors.newFixedThreadPool(WriterThreads)
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
+    val schemas =
+      try Await.result(Future.traverse(AllTables)(t => Future(t -> write(t))), Duration.Inf).toMap
+      finally pool.shutdown()
     val tableBytes = AllTables.map(t => t -> dirBytes(dir.resolve(t))).toMap
     val partBytes =
       if (!partitioned) Map.empty[String, Map[Int, Long]]
@@ -207,8 +223,6 @@ object TpcDsLite {
           y -> dirBytes(dir.resolve(c.table).resolve(s"${c.yearCol}=$y"))
         }.toMap
       }.toMap
-    // Inferred once here; every later bind reuses it and starts no job.
-    val schemas = AllTables.map(t => t -> spark.read.parquet(dir.resolve(t).toString).schema).toMap
     Dataset(if (partitioned) "TPC-DSp" else "TPC-DS", dir, partitioned, tableBytes, partBytes, schemas)
   }
 

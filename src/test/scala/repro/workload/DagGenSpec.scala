@@ -1,9 +1,29 @@
 package repro.workload
 
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.workload.DagGen._
 
 class DagGenSpec extends AnyFunSuite {
+
+  test("generated DAGs are unchanged bit for bit") {
+    val md = MessageDigest.getInstance("SHA-256")
+    for (n <- Seq(1, 10, 25, 50, 100, 200); seed <- 0L until 20L) {
+      val g = generate(Params(n, seed))
+      val d = g.dag
+      val line = Seq(
+        s"$n $seed",
+        d.edges.toVector.sorted.map { case (p, c) => s"$p>$c" }.mkString(","),
+        d.nodes.map(_.sizeBytes).mkString(","),
+        d.nodes.map(v => java.lang.Double.doubleToLongBits(v.speedupMs)).mkString(","),
+        g.ops.mkString(","),
+        g.stageOf.mkString(","),
+      ).mkString(" ")
+      md.update((line + "\n").getBytes("UTF-8"))
+    }
+    val hex = md.digest().map(b => f"$b%02x").mkString
+    assert(hex == "c169faa6be4274141a9e7dbf7af5439ca6ed3e63ddeff9ce2dec1bcb0806e427")
+  }
 
   test("generates the requested node count") {
     Seq(1, 10, 25, 50, 100).foreach { n =>
